@@ -35,6 +35,8 @@ fuzz:
 	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) ./internal/surface
 	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
+	$(GO) test -fuzz FuzzReadSpec -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet
 
 # Benchmark-regression gate over the pinned hot-path suite (see
 # cmd/ccdem-bench): medians of repeated runs vs results/bench_baseline.json.

@@ -411,21 +411,9 @@ func BenchmarkDeviceSimulation(b *testing.B) {
 // (negative intervals) so the loop exercises exactly the steady-state frame
 // pipeline — render, compose, meter, govern — which must not allocate.
 func BenchmarkDeviceSteadyState(b *testing.B) {
-	benchDeviceSteadyState(b, false)
-}
-
-// BenchmarkDeviceSteadyStateNoPalette is the same device on the raw-tile
-// oracle (palette compression and the app state memo off) — the
-// comparison row that keeps the palette path's cost visible in the gate.
-func BenchmarkDeviceSteadyStateNoPalette(b *testing.B) {
-	benchDeviceSteadyState(b, true)
-}
-
-func benchDeviceSteadyState(b *testing.B, noPalette bool) {
 	p, _ := app.ByName("Jelly Splash")
 	dev, err := ccdem.NewDevice(ccdem.Config{
 		Governor:            ccdem.GovernorSectionBoost,
-		NoPalette:           noPalette,
 		TraceInterval:       -1,
 		PowerSampleInterval: -1,
 	})

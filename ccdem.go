@@ -123,22 +123,13 @@ type Config struct {
 	// full-rect composition blits and full-lattice grid comparison on
 	// every frame. The default (false) runs the tile-tracked pipeline —
 	// damage-only composition with per-tile content signatures, direct
-	// scanout of a sole full-screen surface, and tile-delta grid
-	// comparison — which produces bit-identical framebuffer contents,
-	// meter verdicts, decision traces and statistics. The naive path is
-	// kept as the differential-testing oracle, mirroring the lean-mode
-	// pattern of the negative trace/sample intervals.
+	// scanout of a sole full-screen surface, tile-delta grid comparison,
+	// palette-compressed tiles and the app state memo — which produces
+	// bit-identical framebuffer contents, meter verdicts, decision traces
+	// and statistics. The naive path runs without tiles, palettes or the
+	// memo and is kept as the one differential-testing oracle, mirroring
+	// the lean-mode pattern of the negative trace/sample intervals.
 	NaivePixels bool
-	// NoPalette disables the palette-compressed tile representation and
-	// the app state memo built on it while keeping the rest of the tile
-	// pipeline (damage-only composition, signatures, tile-delta
-	// comparison). The default (false, palettes on) stores tiles of at
-	// most 16 colors as 4-bit index planes, which shrinks the bytes every
-	// blit, hash and compare touches; decisions, traces and statistics
-	// are bit-identical either way, and this raw-tile path is the
-	// differential-testing oracle for the palette layer. Implied by
-	// NaivePixels (the naive pipeline has no tiles to compress).
-	NoPalette bool
 	// DownHysteresis requires this many consecutive down indications
 	// before the governor lowers the rate (extension; 0 = paper's
 	// behaviour).
@@ -342,7 +333,7 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	} else {
 		d.mgr.SetComposeMode(surface.ComposeTiles)
 	}
-	d.mgr.SetPalettes(!cfg.NaivePixels && !cfg.NoPalette)
+	d.mgr.SetPalettes(!cfg.NaivePixels)
 	if reuse {
 		if err := d.model.Reset(*cfg.PowerParams, d.panel.Rate(), cfg.Brightness); err != nil {
 			return err
@@ -610,7 +601,7 @@ func (d *Device) InstallApp(p app.Params) (*app.Model, error) {
 		return nil, err
 	}
 	m.Attach(d.eng, d.mgr)
-	m.SetStateMemo(!d.cfg.NaivePixels && !d.cfg.NoPalette)
+	m.SetStateMemo(!d.cfg.NaivePixels)
 	if d.cfg.Faults != nil {
 		m.SetStall(d.cfg.Faults.AppStalled)
 	}
@@ -835,7 +826,7 @@ func (d *Device) FinishObs() {
 	reg.Counter("deferred_latches_total").Add(d.mgr.DeferredLatches())
 	reg.Counter("sim_time_us").Add(uint64(now))
 	// Palette and memo counters are registered unconditionally so scrape
-	// targets see the series (at zero) even on -no-palette devices.
+	// targets see the series (at zero) even on naive-pixels devices.
 	palTiles, palPromos := d.mgr.PaletteStats()
 	reg.Counter("fb_palette_tiles").Add(uint64(palTiles))
 	reg.Counter("fb_palette_promotions_total").Add(palPromos)

@@ -32,9 +32,8 @@ import (
 // suiteRegex pins the gated benchmarks: the hot-path kernels (grid sample,
 // pixel diff, fill, meter observe), the tile pipeline against its naive
 // oracle (compose and compare, whose naive rows double as the comparison
-// baseline), the palette representation against the raw-tile oracle
-// (blit and hash rows, plus the whole-device no-palette steady state),
-// the event engine (cold-start and steady-state), the
+// baseline), the palette representation against raw tiles (blit and hash
+// rows), the event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —
 // single-op cohorts, cheap enough to gate). Heavier figure-regeneration
@@ -44,7 +43,7 @@ const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkF
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
 	`BenchmarkPaletteBlit|BenchmarkPaletteHash|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
-	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|BenchmarkDeviceSteadyStateNoPalette|` +
+	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`
 
 // suitePackages lists the packages holding the pinned benchmarks.

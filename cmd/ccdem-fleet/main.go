@@ -51,8 +51,7 @@ type runConfig struct {
 	samples  int     // metering grid pixels
 	faults   float64 // fault intensity: scales fault.DefaultPlan (0 = off)
 	hardened bool    // enable governor fail-safe hardening
-	naivePix bool    // force the brute-force pixel pipeline (tile oracle)
-	noPal    bool    // disable palette-compressed tiles (palette oracle)
+	naivePix bool    // force the brute-force pixel pipeline (the oracle)
 	failFast bool    // abort the campaign on the first device failure
 	timeout  time.Duration
 	specPath string
@@ -78,8 +77,7 @@ func main() {
 	flag.IntVar(&c.samples, "samples", 9216, "metering grid pixels")
 	flag.Float64Var(&c.faults, "faults", 0, "fault intensity injected into managed segments: scales the default fault plan (0 = off, 1 = reference chaos mix)")
 	flag.BoolVar(&c.hardened, "hardened", false, "enable governor fail-safe hardening on managed segments")
-	flag.BoolVar(&c.naivePix, "naive-pixels", false, "force the brute-force pixel pipeline (no tile signatures); results are byte-identical to the default tile path — this is the differential-testing oracle")
-	flag.BoolVar(&c.noPal, "no-palette", false, "disable palette-compressed tile surfaces and the app state memo (keeps the tile pipeline); results are byte-identical to the default palette path — this is the palette layer's differential-testing oracle")
+	flag.BoolVar(&c.naivePix, "naive-pixels", false, "force the brute-force pixel pipeline (no tile signatures, palettes or state memo); results are byte-identical to the default path — this is the differential-testing oracle")
 	flag.BoolVar(&c.failFast, "fail-fast", false, "abort the campaign on the first device failure instead of aggregating the survivors")
 	flag.DurationVar(&c.timeout, "task-timeout", 0, "wall-clock budget per device simulation; a device exceeding it is reported failed (0 = unlimited)")
 	flag.StringVar(&c.specPath, "spec", "", "cohort specification JSON (see -write-spec for a template); explicit flags override its scalars")
@@ -140,9 +138,6 @@ func (c runConfig) validate() error {
 	}
 	if c.faults < 0 {
 		return fmt.Errorf("-faults must be non-negative, got %g", c.faults)
-	}
-	if c.naivePix && c.noPal {
-		return fmt.Errorf("-naive-pixels already runs without palettes; drop -no-palette (each flag selects one differential oracle)")
 	}
 	if c.timeout < 0 {
 		return fmt.Errorf("-task-timeout must be non-negative, got %v", c.timeout)
@@ -224,7 +219,6 @@ func run(c runConfig) error {
 		MeterSamples: c.samples,
 		Hardened:     c.hardened,
 		NaivePixels:  c.naivePix,
-		NoPalette:    c.noPal,
 		FailFast:     c.failFast,
 	}
 	if c.faults > 0 {
@@ -278,12 +272,6 @@ func run(c runConfig) error {
 		}
 		if !set["samples"] {
 			cohort.MeterSamples = spec.MeterSamples
-		}
-		if !set["naive-pixels"] {
-			cohort.NaivePixels = spec.NaivePixels
-		}
-		if !set["no-palette"] {
-			cohort.NoPalette = spec.NoPalette
 		}
 		cohort.Pack = spec.Pack
 		cohort.Profiles = spec.Profiles

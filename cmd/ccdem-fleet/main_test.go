@@ -134,7 +134,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"negative duration", func(c *runConfig) { c.duration = -3 }},
 		{"zero samples", func(c *runConfig) { c.samples = 0 }},
 		{"negative fault scale", func(c *runConfig) { c.faults = -1 }},
-		{"both pixel oracles", func(c *runConfig) { c.naivePix = true; c.noPal = true }},
 		{"negative task timeout", func(c *runConfig) { c.timeout = -time.Second }},
 		{"shard with csv", func(c *runConfig) { c.shard = "0/2"; c.format = "csv" }},
 		{"shard with per-device", func(c *runConfig) { c.shard = "0/2"; c.perDev = true }},

@@ -45,8 +45,6 @@ func main() {
 	samples := flag.Int("samples", 9216, "governor comparison-grid pixels")
 	workers := flag.Int("workers", 0, "concurrent app runs in campaign experiments (0 = all cores); results are identical at any value")
 	faults := flag.Float64("faults", 1, "fault intensity for the chaos experiment: scales the default fault plan (0 disables, 1 = reference mix)")
-	noPal := flag.Bool("no-palette", false, "disable palette-compressed tile surfaces and the app state memo; results are byte-identical to the default palette path — this is the palette layer's differential-testing oracle")
-	naivePix := flag.Bool("naive-pixels", false, "force the brute-force pixel pipeline (no tile signatures, no palettes); results are byte-identical to the default tile path — this is the tile layer's differential-testing oracle")
 	csvPath := flag.String("csv", "", "also write the experiment's data rows as CSV to this file (table experiments only)")
 	svgDir := flag.String("svg", "", "also write the experiment's figures as SVG files into this directory")
 	traceOut := flag.String("trace-out", "", "write a Chrome trace-event JSON of every run to this file (open in Perfetto or chrome://tracing)")
@@ -83,8 +81,6 @@ func main() {
 		Seed:         *seed,
 		MeterSamples: *samples,
 		Parallelism:  *workers,
-		NoPalette:    *noPal,
-		NaivePixels:  *naivePix,
 	}
 	if *traceOut != "" || *metrics {
 		opts.Obs = obs.NewCollector(0)
@@ -204,9 +200,6 @@ func run(name string, opts experiments.Options, faults float64, csvPath, svgDir 
 	}
 	if faults < 0 {
 		return fmt.Errorf("-faults must be non-negative, got %g", faults)
-	}
-	if opts.NaivePixels && opts.NoPalette {
-		return fmt.Errorf("-naive-pixels already runs without palettes; drop -no-palette (each flag selects one differential oracle)")
 	}
 	plan := fault.DefaultPlan().Scale(faults)
 	opts.FaultPlan = &plan

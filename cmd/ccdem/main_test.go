@@ -24,7 +24,6 @@ func TestRunRejectsBadInput(t *testing.T) {
 		{"zero samples", "fig6", experiments.Options{Duration: 5 * sim.Second}, 1},
 		{"negative samples", "fig6", experiments.Options{Duration: 5 * sim.Second, MeterSamples: -3}, 1},
 		{"negative fault scale", "chaos", good, -0.5},
-		{"both pixel oracles", "fig6", experiments.Options{Duration: 5 * sim.Second, Seed: 1, MeterSamples: 1024, NaivePixels: true, NoPalette: true}, 1},
 	}
 	for _, tc := range cases {
 		if err := run(tc.exp, tc.opts, tc.faults, "", ""); err == nil {

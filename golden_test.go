@@ -9,13 +9,20 @@
 // the simulation faster, but never change a single decision, and worker
 // scheduling never leaks into results.
 //
+// TestGoldenDigests extends the pin from three apps to the whole
+// reproduction: one SHA-256 per catalog app and managed configuration,
+// so a change that moves the power model, the governor or an app model —
+// and with it the production pipeline and its oracle alike — cannot pass
+// silently.
+//
 // After an *intentional* behaviour change, refresh the files with:
 //
-//	go test -run TestGoldenTraces -update-golden .
+//	go test -run 'TestGolden(Traces|Digests)' -update-golden .
 package ccdem_test
 
 import (
 	"context"
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
@@ -48,26 +55,23 @@ var goldenApps = []struct {
 
 const goldenDuration = 20 * sim.Second
 
-// goldenTrace runs one governed device on the named app and renders its
-// complete decision history as text, using the default (tile-tracked,
-// palette-compressed) pixel pipeline.
+// goldenTrace runs one device governed by section+boost on the named app
+// and renders its complete decision history as text, using the default
+// (tile-tracked, palette-compressed) pixel pipeline.
 func goldenTrace(appName string, seed int64) (string, error) {
-	return goldenTraceCfg(appName, seed, false, false)
+	return goldenTraceCfg(appName, seed, ccdem.GovernorSectionBoost, false)
 }
 
-// goldenTraceCfg is goldenTrace with the pixel pipeline selectable:
-// naivePixels true runs the brute-force oracle path, noPalette true runs
-// the tile pipeline with palette compression (and the app state memo)
-// disabled.
-func goldenTraceCfg(appName string, seed int64, naivePixels, noPalette bool) (string, error) {
+// goldenTraceCfg is goldenTrace with the governor and the pixel pipeline
+// selectable: naivePixels true runs the brute-force oracle path.
+func goldenTraceCfg(appName string, seed int64, mode ccdem.GovernorMode, naivePixels bool) (string, error) {
 	p, ok := app.ByName(appName)
 	if !ok {
 		return "", fmt.Errorf("unknown app %q", appName)
 	}
 	dev, err := ccdem.NewDevice(ccdem.Config{
-		Governor:    ccdem.GovernorSectionBoost,
+		Governor:    mode,
 		NaivePixels: naivePixels,
-		NoPalette:   noPalette,
 	})
 	if err != nil {
 		return "", err
@@ -188,11 +192,11 @@ func TestGoldenTracesTileVsNaive(t *testing.T) {
 		t.Skip("golden traces need full-length runs")
 	}
 	for _, a := range goldenApps {
-		tiles, err := goldenTraceCfg(a.name, a.seed, false, false)
+		tiles, err := goldenTraceCfg(a.name, a.seed, ccdem.GovernorSectionBoost, false)
 		if err != nil {
 			t.Fatalf("%s (tiles): %v", a.name, err)
 		}
-		naive, err := goldenTraceCfg(a.name, a.seed, true, false)
+		naive, err := goldenTraceCfg(a.name, a.seed, ccdem.GovernorSectionBoost, true)
 		if err != nil {
 			t.Fatalf("%s (naive): %v", a.name, err)
 		}
@@ -203,38 +207,50 @@ func TestGoldenTracesTileVsNaive(t *testing.T) {
 	}
 }
 
-// TestGoldenTracesPaletteVsNoPalette runs every golden app with palette
-// compression and the app state memo on (the default) and off
-// (-no-palette, the raw-tile oracle), the oracle side under fleet.Pool at
-// 1, 2 and 8 workers, and diffs the decision-event streams byte for byte.
-// The palette path replaces pixel stores, hashes and compares with index
-// arithmetic and memoized copy-on-write screens, so this is the
-// end-to-end proof that none of it moved a governor decision, a rate
-// transition or a lifetime total — at any worker count.
-func TestGoldenTracesPaletteVsNoPalette(t *testing.T) {
+// TestGoldenDigests runs every catalog app under section and
+// section+boost for goldenDuration, each with a fixed per-app seed, under
+// fleet.Pool, and compares the SHA-256 of each decision stream with
+// testdata/golden/digests.txt. The three full traces above localize a
+// change; the digests make sure none goes unnoticed in the other apps.
+func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
-		t.Skip("golden traces need full-length runs")
+		t.Skip("golden digests need full-length runs")
 	}
-	reference := runGoldenFleet(t, 1) // default palette path
-	for _, workers := range []int{1, 2, 8} {
-		oracle := make([]string, len(goldenApps))
-		err := fleet.Pool{Workers: workers}.Run(context.Background(), len(goldenApps),
-			func(_ context.Context, i int) error {
-				tr, err := goldenTraceCfg(goldenApps[i].name, goldenApps[i].seed, false, true)
-				if err != nil {
-					return fmt.Errorf("%s: %w", goldenApps[i].name, err)
-				}
-				oracle[i] = tr
-				return nil
-			})
+	modes := []ccdem.GovernorMode{ccdem.GovernorSection, ccdem.GovernorSectionBoost}
+	apps := app.Catalog()
+	lines := make([]string, len(apps)*len(modes))
+	err := fleet.Pool{}.Run(context.Background(), len(lines), func(_ context.Context, i int) error {
+		name, mode := apps[i/len(modes)].Name, modes[i%len(modes)]
+		seed := int64(100 + i/len(modes))
+		tr, err := goldenTraceCfg(name, seed, mode, false)
 		if err != nil {
+			return fmt.Errorf("%s [%s]: %w", name, mode, err)
+		}
+		lines[i] = fmt.Sprintf("%s\t%s\t%d\t%x", name, mode, seed, sha256.Sum256([]byte(tr)))
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(lines, "\n") + "\n"
+	path := filepath.Join("testdata", "golden", "digests.txt")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		for i, a := range goldenApps {
-			if oracle[i] != reference[i] {
-				t.Errorf("%s: no-palette oracle trace at %d workers differs from palette path\n%s",
-					a.name, workers, firstLineDiff(oracle[i], reference[i]))
-			}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	wantLines := strings.Split(strings.TrimSuffix(string(want), "\n"), "\n")
+	if len(wantLines) != len(lines) {
+		t.Fatalf("%s has %d digests, the catalog yields %d (refresh with -update-golden)", path, len(wantLines), len(lines))
+	}
+	for i, line := range lines {
+		if line != wantLines[i] {
+			t.Errorf("decision stream changed (if intentional, refresh with -update-golden):\n  got:  %s\n  want: %s", line, wantLines[i])
 		}
 	}
 }

@@ -109,8 +109,6 @@ func runChaosApp(o Options, p app.Params, plan fault.Plan, hard *core.HardeningC
 		Width: screenW, Height: screenH,
 		Governor:     ccdem.GovernorSectionBoost,
 		MeterSamples: o.MeterSamples,
-		NaivePixels:  o.NaivePixels,
-		NoPalette:    o.NoPalette,
 		Faults:       inj,
 		Hardening:    hard,
 	})

@@ -49,15 +49,6 @@ type Options struct {
 	// FaultPlan overrides the chaos experiment's fault mix (nil selects
 	// fault.DefaultPlan). Only Chaos consults it.
 	FaultPlan *fault.Plan
-	// NoPalette disables palette-compressed tile surfaces and the app
-	// state memo on every measured device (ccdem.Config.NoPalette).
-	// Results are byte-identical either way; the knob is the palette
-	// layer's differential-testing oracle.
-	NoPalette bool
-	// NaivePixels forces the brute-force pixel pipeline on every measured
-	// device (ccdem.Config.NaivePixels) — the tile layer's oracle, which
-	// also implies NoPalette.
-	NaivePixels bool
 }
 
 func (o *Options) applyDefaults() {
@@ -185,8 +176,6 @@ func runApp(o Options, p app.Params, mode ccdem.GovernorMode) (ccdem.Stats, ccde
 		Width: screenW, Height: screenH,
 		Governor:     mode,
 		MeterSamples: o.MeterSamples,
-		NaivePixels:  o.NaivePixels,
-		NoPalette:    o.NoPalette,
 		Recorder:     rec,
 		Metrics:      reg,
 	})

@@ -51,8 +51,6 @@ func Frontier(o Options) (*FrontierResult, error) {
 			Width: screenW, Height: screenH,
 			Governor:     mode,
 			MeterSamples: o.MeterSamples,
-			NaivePixels:  o.NaivePixels,
-			NoPalette:    o.NoPalette,
 			PowerParams:  &params,
 		})
 		if err != nil {

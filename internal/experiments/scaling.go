@@ -51,8 +51,6 @@ func Scaling(o Options) (*ScalingResult, error) {
 					FastUpswitch:  profile.FastUpswitch,
 					Governor:      mode,
 					MeterSamples:  o.MeterSamples,
-					NaivePixels:   o.NaivePixels,
-					NoPalette:     o.NoPalette,
 				})
 				if err != nil {
 					return ccdem.Stats{}, err

@@ -60,19 +60,6 @@ type ProfileAggregate struct {
 	ExtraHoursMean     float64 `json:"extra_hours_mean"`
 }
 
-// aggregate folds per-device results into the fleet-wide summary through
-// the streaming Accumulator — the retained and streamed cohort paths
-// share one integer-domain implementation, so their aggregates are
-// byte-identical by construction. profiles fixes the breakdown order to
-// the cohort's declaration order.
-func aggregate(results []DeviceResult, profiles []Profile) Aggregate {
-	acc := NewAccumulator()
-	for _, r := range results {
-		acc.Add(r)
-	}
-	return acc.Aggregate(profiles)
-}
-
 // String renders the aggregate as a report table.
 func (a Aggregate) String() string {
 	var sb strings.Builder

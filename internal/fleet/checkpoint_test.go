@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -22,7 +24,7 @@ func ckptTestCohort(devices int) Cohort {
 }
 
 // runTestShards runs every shard of a count-way split of the cohort.
-func runTestShards(t *testing.T, c Cohort, count int) []*Shard {
+func runTestShards(t testing.TB, c Cohort, count int) []*Shard {
 	t.Helper()
 	shards := make([]*Shard, count)
 	for i := 0; i < count; i++ {
@@ -37,7 +39,7 @@ func runTestShards(t *testing.T, c Cohort, count int) []*Shard {
 	return shards
 }
 
-func encodeCheckpoint(t *testing.T, c *Checkpoint) []byte {
+func encodeCheckpoint(t testing.TB, c *Checkpoint) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := c.Encode(&buf); err != nil {
@@ -163,30 +165,11 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 		}
 	}
 	doc := encodeCheckpoint(t, c)
-
-	flip := func(doc []byte, needle, repl string) []byte {
-		out := strings.Replace(string(doc), needle, repl, 1)
-		if out == string(doc) {
-			t.Fatalf("needle %q not found in checkpoint document", needle)
-		}
-		return []byte(out)
-	}
-
-	cases := []struct {
-		name string
-		doc  []byte
-		want string
-	}{
-		{"truncated", doc[:len(doc)/2], "unexpected"},
-		{"empty", nil, "EOF"},
-		// A flipped payload byte must trip the CRC before any field is
-		// trusted. (Same-length replacement keeps the JSON well-formed.)
-		{"bit rot", flip(doc, `"spec_hash":"hash-abc"`, `"spec_hash":"hash-abd"`), "checksum"},
-		{"version skew", flip(doc, `"version":1`, `"version":9`), "unsupported version"},
-		{"unknown envelope field", flip(doc, `"version":1`, `"varsion":1`), "unknown field"},
-	}
-	for _, tc := range cases {
+	for _, tc := range checkpointCorruptions(doc) {
 		t.Run(tc.name, func(t *testing.T) {
+			if bytes.Equal(tc.doc, doc) {
+				t.Fatal("corruption left the document unchanged")
+			}
 			_, err := DecodeCheckpoint(bytes.NewReader(tc.doc))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("DecodeCheckpoint = %v, want error containing %q", err, tc.want)
@@ -195,24 +178,58 @@ func TestCheckpointDecodeRejectsCorruption(t *testing.T) {
 	}
 }
 
-// reseal recomputes the envelope CRC after a deliberate payload edit, so
-// the tests below reach the semantic validators behind the checksum.
-func reseal(t *testing.T, doc []byte, edit func(payload string) string) []byte {
+// corruptCheckpoint is a damaged checkpoint document and the error it
+// must raise.
+type corruptCheckpoint struct {
+	name, want string
+	doc        []byte
+}
+
+// checkpointCorruptions derives the envelope-level corruption classes
+// the resume path defends against from a valid checkpoint document.
+func checkpointCorruptions(doc []byte) []corruptCheckpoint {
+	flip := func(needle, repl string) []byte {
+		return []byte(strings.Replace(string(doc), needle, repl, 1))
+	}
+	return []corruptCheckpoint{
+		{"truncated", "unexpected", doc[:len(doc)/2]},
+		{"empty", "EOF", nil},
+		// A flipped payload byte must trip the CRC before any field is
+		// trusted. (Same-length replacement keeps the JSON well-formed.)
+		{"bit rot", "checksum", flip(`"spec_hash":"hash-abc"`, `"spec_hash":"hash-abd"`)},
+		{"version skew", "unsupported version", flip(`"version":1`, `"version":9`)},
+		{"unknown envelope field", "unknown field", flip(`"version":1`, `"varsion":1`)},
+	}
+}
+
+// payloadEdits are semantic corruptions of the payload of a 4-shard
+// checkpoint holding shards 0 and 1, each naming the error it must
+// raise once resealed behind a valid checksum.
+var payloadEdits = []struct{ name, old, new, want string }{
+	{"done out of range", `"done":[0,1]`, `"done":[0,7]`, "out of [0,4)"},
+	{"done unsorted", `"done":[0,1]`, `"done":[1,0]`, "ascending"},
+	// Claiming an extra completed shard breaks the device accounting:
+	// the accumulator only holds shards 0 and 1.
+	{"accounting mismatch", `"done":[0,1]`, `"done":[0,1,2]`, "account"},
+	{"empty spec hash", `"spec_hash":"hash-abc"`, `"spec_hash":""`, "empty spec hash"},
+	{"empty code version", `"code_version":"v-test"`, `"code_version":""`, "empty code version"},
+	{"zero shards", `"shards":4`, `"shards":0`, "non-positive shard count"},
+}
+
+// unseal returns a checkpoint document's payload bytes.
+func unseal(t testing.TB, doc []byte) []byte {
 	t.Helper()
 	var env wireCheckpointEnvelope
 	if err := json.Unmarshal(doc, &env); err != nil {
 		t.Fatalf("unsealing: %v", err)
 	}
-	payload := edit(string(env.Payload))
-	out, err := json.Marshal(wireCheckpointEnvelope{
-		Version: env.Version,
-		CRC32:   crcHex([]byte(payload)),
-		Payload: json.RawMessage(payload),
-	})
-	if err != nil {
-		t.Fatalf("resealing: %v", err)
-	}
-	return out
+	return env.Payload
+}
+
+// seal wraps payload bytes verbatim in a version-1 envelope with a valid
+// checksum, so they reach the semantic validators behind it.
+func seal(payload []byte) []byte {
+	return fmt.Appendf(nil, `{"version":%d,"crc32":%q,"payload":%s}`, checkpointWireVersion, crcHex(payload), payload)
 }
 
 func TestCheckpointDecodeRejectsInconsistentPayload(t *testing.T) {
@@ -223,25 +240,14 @@ func TestCheckpointDecodeRejectsInconsistentPayload(t *testing.T) {
 			t.Fatalf("AddShard: %v", err)
 		}
 	}
-	doc := encodeCheckpoint(t, c)
-
-	cases := []struct {
-		name string
-		edit func(string) string
-		want string
-	}{
-		{"done out of range", func(p string) string { return strings.Replace(p, `"done":[0,1]`, `"done":[0,7]`, 1) }, "out of [0,4)"},
-		{"done unsorted", func(p string) string { return strings.Replace(p, `"done":[0,1]`, `"done":[1,0]`, 1) }, "ascending"},
-		// Claiming an extra completed shard breaks the device accounting:
-		// the accumulator only holds shards 0 and 1.
-		{"accounting mismatch", func(p string) string { return strings.Replace(p, `"done":[0,1]`, `"done":[0,1,2]`, 1) }, "account"},
-		{"empty spec hash", func(p string) string { return strings.Replace(p, `"spec_hash":"hash-abc"`, `"spec_hash":""`, 1) }, "empty spec hash"},
-		{"empty code version", func(p string) string { return strings.Replace(p, `"code_version":"v-test"`, `"code_version":""`, 1) }, "empty code version"},
-		{"zero shards", func(p string) string { return strings.Replace(p, `"shards":4`, `"shards":0`, 1) }, "non-positive shard count"},
-	}
-	for _, tc := range cases {
+	payload := string(unseal(t, encodeCheckpoint(t, c)))
+	for _, tc := range payloadEdits {
 		t.Run(tc.name, func(t *testing.T) {
-			_, err := DecodeCheckpoint(bytes.NewReader(reseal(t, doc, tc.edit)))
+			edited := strings.Replace(payload, tc.old, tc.new, 1)
+			if edited == payload {
+				t.Fatalf("%q not found in the checkpoint payload", tc.old)
+			}
+			_, err := DecodeCheckpoint(bytes.NewReader(seal([]byte(edited))))
 			if err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("DecodeCheckpoint = %v, want error containing %q", err, tc.want)
 			}
@@ -259,4 +265,86 @@ func TestCheckpointEmptyRoundTrip(t *testing.T) {
 		t.Errorf("empty checkpoint decoded to %d done, %d shards, %d devices",
 			got.DoneCount(), got.ShardCount, got.Acc.Devices())
 	}
+}
+
+// FuzzDecodeCheckpoint: the checkpoint decoder never panics, and every
+// checkpoint it accepts re-encodes to a document it accepts again, with
+// the same done set, the same failures, the same bytes and — when
+// complete — the same Result. With sealed set the fuzzed bytes are the
+// payload of a correctly checksummed envelope, because random envelopes
+// never get past the CRC; otherwise they are the whole document.
+func FuzzDecodeCheckpoint(f *testing.F) {
+	cohort := ckptTestCohort(20)
+	cohort.testHook = func(device int) {
+		if device == 6 {
+			panic("seeded failure")
+		}
+	}
+	shards := runTestShards(f, cohort, 4)
+	c := NewCheckpoint("hash-abc", "v-test", 4)
+	// partial holds shards 0 and 1, the state payloadEdits expect.
+	var partial []byte
+	for k, i := range []int{1, 0, 3, 2} {
+		if err := c.AddShard(shards[i]); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(unseal(f, encodeCheckpoint(f, c)), true)
+		if k == 1 {
+			partial = encodeCheckpoint(f, c)
+		}
+	}
+	f.Add(unseal(f, encodeCheckpoint(f, NewCheckpoint("h", "v", 3))), true)
+	for _, tc := range checkpointCorruptions(partial) {
+		f.Add(tc.doc, false)
+	}
+	payload := string(unseal(f, partial))
+	for _, tc := range payloadEdits {
+		f.Add([]byte(strings.Replace(payload, tc.old, tc.new, 1)), true)
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte, sealed bool) {
+		doc := data
+		if sealed {
+			doc = seal(data)
+		}
+		c, err := DecodeCheckpoint(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		enc := encodeCheckpoint(t, c)
+		back, err := DecodeCheckpoint(bytes.NewReader(enc))
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint rejected: %v\n%s", err, enc)
+		}
+		if !reflect.DeepEqual(back.DoneShards(), c.DoneShards()) {
+			t.Fatalf("done set %v, re-decoded %v", c.DoneShards(), back.DoneShards())
+		}
+		if len(back.Failed)+len(c.Failed) > 0 && !reflect.DeepEqual(back.Failed, c.Failed) {
+			t.Fatalf("failures %+v, re-decoded %+v", c.Failed, back.Failed)
+		}
+		if again := encodeCheckpoint(t, back); !bytes.Equal(again, enc) {
+			t.Fatalf("re-encoding is not canonical:\n%s\nvs\n%s", enc, again)
+		}
+		if !c.Complete() {
+			return
+		}
+		want, wantErr := c.Result()
+		got, gotErr := back.Result()
+		if (wantErr == nil) != (gotErr == nil) {
+			t.Fatalf("Result error %v, re-decoded %v", wantErr, gotErr)
+		}
+		if wantErr != nil {
+			return
+		}
+		var wj, gj bytes.Buffer
+		if err := want.WriteJSON(&wj, true); err != nil {
+			t.Fatal(err)
+		}
+		if err := got.WriteJSON(&gj, true); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(wj.Bytes(), gj.Bytes()) {
+			t.Fatalf("Result differs after the round trip:\n%s\nvs\n%s", wj.Bytes(), gj.Bytes())
+		}
+	})
 }

@@ -2,9 +2,9 @@ package fleet
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"sync"
 
@@ -76,6 +76,9 @@ func (p Profile) Validate() error {
 	if p.TouchIntensity < 0 {
 		return fmt.Errorf("fleet: profile %s: negative touch intensity %v", p.Name, p.TouchIntensity)
 	}
+	if err := p.monkeyConfig().Validate(); err != nil {
+		return fmt.Errorf("fleet: profile %s: touch intensity %v: %w", p.Name, p.TouchIntensity, err)
+	}
 	if p.SessionJitter < 0 || p.SessionJitter >= 1 {
 		return fmt.Errorf("fleet: profile %s: session jitter %v out of [0,1)", p.Name, p.SessionJitter)
 	}
@@ -128,12 +131,6 @@ type Cohort struct {
 	// default tile-tracked pipeline; the knob exists as the differential
 	// oracle for CI and the tile-vs-naive equality tests.
 	NaivePixels bool
-	// NoPalette disables the palette-compressed tile representation and
-	// the app state memo on every device (ccdem.Config.NoPalette) while
-	// keeping the rest of the tile pipeline. Campaign aggregates are
-	// byte-identical either way; the knob is the differential oracle for
-	// the palette layer, as NaivePixels is for the tile layer.
-	NoPalette bool
 	// FailFast aborts the campaign on the first device failure (the old
 	// behaviour). The default keeps going: surviving devices aggregate,
 	// failed ones are reported in Result.Failed.
@@ -149,26 +146,32 @@ type Cohort struct {
 	ShardIndex int
 	ShardCount int
 
-	// Stream aggregates on the fly instead of retaining per-device rows:
-	// each result is folded into its worker's Accumulator shard as it
-	// completes and the shards are merged when the run ends, so the
+	// Stream drops the per-device rows: Result.Devices stays nil and the
 	// campaign's memory footprint is O(workers), independent of Devices.
-	// Result.Devices stays nil; Result.Aggregate is byte-identical to the
-	// retained mode's at any worker count (the shard state is integral,
-	// so the partition and merge order cannot matter).
+	// Every run folds each result into its worker's Accumulator shard as
+	// it completes and merges the shards when the run ends; without
+	// Stream an internal sink also collects the rows, which Run returns
+	// in device order. The shard state is integral, so the partition and
+	// merge order cannot matter: Result.Aggregate is byte-identical either
+	// way at any worker count.
 	Stream bool
-	// Sink, when non-nil in Stream mode, additionally receives every
-	// surviving device's result as it completes — the hook for emitting
-	// per-device CSV rows without retaining them. Calls are serialized
-	// but arrive in completion order, which depends on worker scheduling;
-	// rows carry their Device index for re-ordering downstream. The
-	// aggregate remains deterministic regardless. Ignored without Stream.
+	// Sink, when non-nil, additionally receives every surviving device's
+	// result as it completes — the hook for emitting per-device CSV rows
+	// without retaining them. Calls are serialized but arrive in
+	// completion order, which depends on worker scheduling; rows carry
+	// their Device index for re-ordering downstream. The aggregate
+	// remains deterministic regardless.
 	Sink func(DeviceResult)
 
 	// testHook, when set, runs at the start of each device task — the
 	// tests' lever for injecting per-device panics and hangs.
 	testHook func(device int)
 }
+
+// maxSession bounds Cohort.Session at 2^50 µs (about 35.7 years), far
+// past any screen-on session. Up to it, a session survives the spec
+// file's float64 seconds exactly (WriteSpec then ReadSpec).
+const maxSession = sim.Time(1) << 50
 
 func (c *Cohort) applyDefaults() {
 	if c.Session == 0 {
@@ -195,6 +198,12 @@ func (c Cohort) Validate() error {
 	}
 	if c.Session <= 0 {
 		return fmt.Errorf("fleet: non-positive session %v", c.Session)
+	}
+	if c.Session > maxSession {
+		return fmt.Errorf("fleet: session %v exceeds the %v limit", c.Session, maxSession)
+	}
+	if c.MeterSamples <= 0 {
+		return fmt.Errorf("fleet: non-positive meter samples %d", c.MeterSamples)
 	}
 	if err := c.Pack.Validate(); err != nil {
 		return err
@@ -306,41 +315,51 @@ func (c Cohort) Run(ctx context.Context, pool Pool) (*Result, error) {
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}
+	// Retaining rows is the streamed run plus a collecting sink. The
+	// caller's sink runs first, so a row it panics on is neither
+	// collected nor folded. (A pointer keeps streamed runs from paying a
+	// heap allocation for the unused slice.)
+	var rows *[]DeviceResult
+	if !c.Stream {
+		rows = new([]DeviceResult)
+		sink := c.Sink
+		c.Sink = func(r DeviceResult) {
+			if sink != nil {
+				sink(r)
+			}
+			*rows = append(*rows, r)
+		}
+	}
 	out, err := c.execute(ctx, pool)
 	if err != nil {
 		return nil, err
 	}
-	res := &Result{Failed: sortedFailures(out.fails)}
-	if c.Stream {
-		if out.merged.Devices() == 0 {
-			if out.poolErr != nil {
-				return nil, out.poolErr
-			}
-			return nil, fmt.Errorf("fleet: all %d devices failed", c.Devices)
+	if out.merged.Devices() == 0 {
+		if out.poolErr != nil {
+			return nil, out.poolErr
 		}
-		res.Aggregate = out.merged.Aggregate(c.Profiles)
-	} else {
-		res.Devices = out.survivors
-		if len(res.Devices) == 0 {
-			if out.poolErr != nil {
-				return nil, out.poolErr
-			}
-			return nil, fmt.Errorf("fleet: all %d devices failed", c.Devices)
-		}
-		res.Aggregate = aggregate(res.Devices, c.Profiles)
+		return nil, fmt.Errorf("fleet: all %d devices failed", c.Devices)
+	}
+	res := &Result{
+		Failed:    sortedFailures(out.fails),
+		Aggregate: out.merged.Aggregate(c.Profiles),
+	}
+	if rows != nil {
+		res.Devices = *rows
+		slices.SortFunc(res.Devices, func(a, b DeviceResult) int { return a.Device - b.Device })
 	}
 	res.Aggregate.FailedDevices = len(res.Failed)
 	return res, nil
 }
 
-// RunShard executes the cohort's shard (ShardIndex of ShardCount) in
-// stream mode and returns its wire-encodable shard: the accumulator over
-// the slice's surviving devices plus the slice's failures. Unlike Run, a
-// shard whose devices all failed is not an error — the central merge
-// decides whether the campaign as a whole survived. The profile order is
-// captured so MergeShards can finalize without the spec.
+// RunShard executes the cohort's shard (ShardIndex of ShardCount)
+// without retaining rows and returns its wire-encodable shard: the
+// accumulator over the slice's surviving devices plus the slice's
+// failures. Unlike Run, a shard whose devices all failed is not an
+// error — the central merge decides whether the campaign as a whole
+// survived. The profile order is captured so MergeShards can finalize
+// without the spec.
 func (c Cohort) RunShard(ctx context.Context, pool Pool) (*Shard, error) {
-	c.Stream = true
 	c.applyDefaults()
 	if err := c.Validate(); err != nil {
 		return nil, err
@@ -385,22 +404,21 @@ func sortedFailures(fails map[int]error) []DeviceFailure {
 	return out
 }
 
-// runOutcome is execute's result: the merged stream accumulator (stream
-// mode), the surviving rows in device order (retained mode), the sparse
-// failure map keyed by global device index, and the pool's joined task
-// errors (nil when every device succeeded).
+// runOutcome is execute's result: the merged accumulator over the
+// surviving devices, the sparse failure map keyed by global device index,
+// and the pool's joined task errors (nil when every device succeeded).
 type runOutcome struct {
-	merged    *Accumulator
-	survivors []DeviceResult
-	fails     map[int]error
-	poolErr   error
+	merged  *Accumulator
+	fails   map[int]error
+	poolErr error
 }
 
 // execute runs the cohort's device slice on the pool — the core shared
-// by Run and RunShard. The cohort must already be defaulted and
-// validated. The returned error is fatal (context cancelled, or first
-// failure under FailFast); per-device failures are data, reported in the
-// outcome.
+// by Run and RunShard. Every surviving device is handed to the Sink and
+// folded into its worker's Accumulator; the accumulators are merged when
+// the pool returns. The cohort must already be defaulted and validated.
+// The returned error is fatal (context cancelled, or first failure under
+// FailFast); per-device failures are data, reported in the outcome.
 func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 	if !c.FailFast {
 		// Resilient campaigns observe every failure instead of
@@ -419,34 +437,25 @@ func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 	if pool.TaskTimeout <= 0 {
 		lanes = make([]deviceLane, workers)
 	}
+	shards := make([]*Accumulator, workers)
+	for i := range shards {
+		shards[i] = NewAccumulator()
+	}
 	var (
 		mu     sync.Mutex
 		sealed bool // set once results are read; late stragglers discarded
-		// Retained mode: O(Devices) rows, read back in device order.
-		results []DeviceResult
-		ok      []bool
-		// Stream mode: O(workers) accumulator shards, merged afterwards.
-		shards []*Accumulator
-		// Failures are sparse in both modes: a million-device campaign
-		// tracks only its casualties.
+		// Failures are sparse: a million-device campaign tracks only its
+		// casualties.
 		fails = make(map[int]error)
-		// published guards against double-counting a streamed result whose
-		// completion raced the task deadline: the pool may have reported
-		// the task as timed out even though the fold made it in. Only
-		// possible with a TaskTimeout, so only tracked then.
-		published map[int]struct{}
+		// folded has one bit per task whose result made it into a shard.
+		// Under a TaskTimeout the pool may report such a task as timed out
+		// when its deadline fires before the task returns; the fold wins.
+		// Without a timeout no pool error can follow a fold, so the bitmap
+		// is only kept then.
+		folded []uint64
 	)
-	if c.Stream {
-		shards = make([]*Accumulator, workers)
-		for i := range shards {
-			shards[i] = NewAccumulator()
-		}
-		if pool.TaskTimeout > 0 {
-			published = make(map[int]struct{})
-		}
-	} else {
-		results = make([]DeviceResult, n)
-		ok = make([]bool, n)
+	if pool.TaskTimeout > 0 {
+		folded = make([]uint64, (n+63)/64)
 	}
 	err := pool.RunIndexed(ctx, n, func(tctx context.Context, j, w int) error {
 		i := lo + j
@@ -467,17 +476,14 @@ func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 			fails[j] = err
 			return err
 		}
-		if c.Stream {
-			shards[w].Add(r)
-			if published != nil && tctx.Err() != nil {
-				published[j] = struct{}{}
-			}
-			if c.Sink != nil {
-				c.Sink(r)
-			}
-		} else {
-			results[j] = r
-			ok[j] = true
+		// The sink runs before the fold: a sink panic reaches the pool as
+		// this task's PanicError and leaves the device unfolded.
+		if c.Sink != nil {
+			c.Sink(r)
+		}
+		shards[w].Add(r)
+		if folded != nil {
+			folded[j/64] |= 1 << (j % 64)
 		}
 		return nil
 	})
@@ -491,9 +497,7 @@ func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 		return runOutcome{}, ctx.Err()
 	}
 	// Pool-level failures (recovered panics, timeouts) never reach the
-	// closure's bookkeeping; map them back by task index. A streamed
-	// result that beat its own timeout report stays counted — mirroring
-	// retained mode, where ok[j] wins over a late TimeoutError.
+	// closure's bookkeeping; map them back by task index.
 	for _, e := range taskErrors(err) {
 		var j int
 		switch te := e.(type) {
@@ -507,33 +511,18 @@ func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 		if j < 0 || j >= n {
 			continue
 		}
-		if _, won := published[j]; won {
-			continue
-		}
-		if !c.Stream && ok[j] {
+		if folded != nil && folded[j/64]&(1<<(j%64)) != 0 {
 			continue
 		}
 		if fails[j] == nil {
 			fails[j] = e
 		}
 	}
-	out := runOutcome{fails: make(map[int]error, len(fails)), poolErr: err}
-	if c.Stream {
-		merged := NewAccumulator()
-		for _, s := range shards {
-			merged.Merge(s)
-		}
-		out.merged = merged
-	} else {
-		for j := range results {
-			switch {
-			case ok[j]:
-				out.survivors = append(out.survivors, results[j])
-			case fails[j] == nil:
-				fails[j] = errors.New("fleet: device result unavailable")
-			}
-		}
+	merged := NewAccumulator()
+	for _, s := range shards {
+		merged.Merge(s)
 	}
+	out := runOutcome{merged: merged, fails: make(map[int]error, len(fails)), poolErr: err}
 	for j, e := range fails {
 		out.fails[lo+j] = e
 	}
@@ -680,18 +669,24 @@ func (c Cohort) pickProfile(rng *rand.Rand) Profile {
 	return c.Profiles[len(c.Profiles)-1]
 }
 
-// segmentScript generates the deterministic Monkey script one app segment
-// replays under both configurations, paced by the profile's touch
-// intensity.
-func (c Cohort) segmentScript(prof Profile, seed int64, dur sim.Time) (input.Script, error) {
+// monkeyConfig is the profile's Monkey pacing: the default mean
+// think-time divided by the touch intensity.
+func (p Profile) monkeyConfig() input.MonkeyConfig {
 	cfg := input.DefaultMonkeyConfig()
-	if ti := prof.TouchIntensity; ti > 0 && ti != 1 {
+	if ti := p.TouchIntensity; ti > 0 && ti != 1 {
 		cfg.MeanIdle = sim.Time(float64(cfg.MeanIdle) / ti)
 		if cfg.MeanIdle < 2*cfg.MinIdle {
 			cfg.MinIdle = cfg.MeanIdle / 2
 		}
 	}
-	mk, err := input.NewMonkey(seed, cfg)
+	return cfg
+}
+
+// segmentScript generates the deterministic Monkey script one app segment
+// replays under both configurations, paced by the profile's touch
+// intensity.
+func (c Cohort) segmentScript(prof Profile, seed int64, dur sim.Time) (input.Script, error) {
+	mk, err := input.NewMonkey(seed, prof.monkeyConfig())
 	if err != nil {
 		return input.Script{}, err
 	}
@@ -709,7 +704,6 @@ func (c Cohort) runSegment(lane *deviceLane, p app.Params, mode ccdem.GovernorMo
 		Governor:     mode,
 		MeterSamples: c.MeterSamples,
 		NaivePixels:  c.NaivePixels,
-		NoPalette:    c.NoPalette,
 		Recorder:     rec,
 		Metrics:      reg,
 		Faults:       inj,

@@ -3,6 +3,7 @@ package fleet
 import (
 	"bytes"
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -42,15 +43,14 @@ func TestCohortDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCohortTileVsNaivePixels pins the fleet-level differential contract:
-// a campaign on the tile-tracked pixel pipeline (the default) produces
-// byte-identical per-device rows and aggregates to the same campaign on
-// the brute-force oracle pipeline, at multiple worker counts. (Worker
-// independence of the tile path itself is covered by
-// TestCohortDeterministicAcrossWorkers, which runs tiles by default.)
+// a campaign on the production pixel pipeline (tile signatures, palette
+// tiles and the app state memo — the default) produces byte-identical
+// per-device rows and aggregates to the same campaign on the brute-force
+// oracle pipeline, which has none of them, at 1, 2, 4 and 8 workers.
 func TestCohortTileVsNaivePixels(t *testing.T) {
 	var outputs []string
 	for _, naive := range []bool{false, true} {
-		for _, workers := range []int{1, 4} {
+		for _, workers := range []int{1, 2, 4, 8} {
 			cohort := testCohort(6)
 			cohort.NaivePixels = naive
 			r, err := cohort.Run(context.Background(), Pool{Workers: workers})
@@ -66,37 +66,7 @@ func TestCohortTileVsNaivePixels(t *testing.T) {
 	}
 	for i, out := range outputs[1:] {
 		if out != outputs[0] {
-			t.Fatalf("campaign output %d differs from tile-path reference:\n--- reference ---\n%s\n--- got ---\n%s",
-				i+1, outputs[0], out)
-		}
-	}
-}
-
-// TestCohortPaletteVsNoPalette pins the palette layer's fleet-level
-// differential contract: a campaign with palette-compressed tiles and the
-// app state memo (the default) produces byte-identical per-device rows
-// and aggregates to the same campaign with both disabled (the raw-tile
-// oracle), at multiple worker counts.
-func TestCohortPaletteVsNoPalette(t *testing.T) {
-	var outputs []string
-	for _, noPal := range []bool{false, true} {
-		for _, workers := range []int{1, 2, 8} {
-			cohort := testCohort(6)
-			cohort.NoPalette = noPal
-			r, err := cohort.Run(context.Background(), Pool{Workers: workers})
-			if err != nil {
-				t.Fatal(err)
-			}
-			var buf bytes.Buffer
-			if err := r.WriteJSON(&buf, true); err != nil {
-				t.Fatal(err)
-			}
-			outputs = append(outputs, buf.String())
-		}
-	}
-	for i, out := range outputs[1:] {
-		if out != outputs[0] {
-			t.Fatalf("campaign output %d differs from palette-path reference:\n--- reference ---\n%s\n--- got ---\n%s",
+			t.Fatalf("campaign output %d differs from the production reference:\n--- reference ---\n%s\n--- got ---\n%s",
 				i+1, outputs[0], out)
 		}
 	}
@@ -210,15 +180,56 @@ func TestSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// badSpecs are cohort documents ReadSpec must reject; FuzzReadSpec seeds
+// its corpus with them.
+var badSpecs = []string{
+	`{"version":99,"devices":1,"profiles":[]}`,
+	`{"version":1,"devices":1,"governor":"warp-speed","profiles":[]}`,
+	`{"version":1,"devices":1,"bogus_field":true}`,
+	`not json`,
+	`{"version":1,"devices":1,"meter_samples":-5,"profiles":[]}`,
+	`{"version":1,"devices":1,"session_s":1e10,"profiles":[]}`,
+	`{"version":1,"devices":1,"profiles":[{"name":"p","weight":1,"touch_intensity":1e300,"apps":[{"name":"Facebook","weight":1}]}]}`,
+	`{"version":1,"devices":1,"profiles":[{"name":"p","weight":1,"touch_intensity":1e-300,"apps":[{"name":"Facebook","weight":1}]}]}`,
+	`{"version":1,"devices":1,"profiles":[{"name":"p","weight":1,"touch_intensity":1e-12,"apps":[{"name":"Facebook","weight":1}]}]}`,
+	`{"version":1,"devices":1,"naive_pixels":true,"profiles":[]}`,
+}
+
 func TestSpecRejectsBadInput(t *testing.T) {
-	for _, doc := range []string{
-		`{"version":99,"devices":1,"profiles":[]}`,
-		`{"version":1,"devices":1,"governor":"warp-speed","profiles":[]}`,
-		`{"version":1,"devices":1,"bogus_field":true}`,
-		`not json`,
-	} {
+	for _, doc := range badSpecs {
 		if _, err := ReadSpec(strings.NewReader(doc)); err == nil {
 			t.Errorf("spec accepted: %s", doc)
 		}
 	}
+}
+
+// FuzzReadSpec: the cohort spec decoder never panics on hostile bytes,
+// and every document it accepts re-encodes through WriteSpec and decodes
+// back to an equal Cohort.
+func FuzzReadSpec(f *testing.F) {
+	var buf bytes.Buffer
+	if err := WriteSpec(&buf, Cohort{Devices: 100, Seed: 1}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(buf.Bytes())
+	for _, doc := range badSpecs {
+		f.Add([]byte(doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		c, err := ReadSpec(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var out bytes.Buffer
+		if err := WriteSpec(&out, c); err != nil {
+			t.Fatalf("accepted spec does not re-encode: %v", err)
+		}
+		back, err := ReadSpec(bytes.NewReader(out.Bytes()))
+		if err != nil {
+			t.Fatalf("re-encoded spec rejected: %v\n%s", err, out.Bytes())
+		}
+		if !reflect.DeepEqual(back, c) {
+			t.Fatalf("spec changed across WriteSpec/ReadSpec:\n got %+v\nwant %+v", back, c)
+		}
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"ccdem/internal/fault"
+	"ccdem/internal/sim"
 )
 
 func TestPoolRecoversPanic(t *testing.T) {
@@ -154,6 +155,53 @@ func TestCohortSurvivesHungDevice(t *testing.T) {
 	if len(r.Devices) != 3 || len(r.Failed) != 1 || r.Failed[0].Device != 0 {
 		t.Fatalf("devices=%d failed=%+v, want 3 surviving and device 0 timed out",
 			len(r.Devices), r.Failed)
+	}
+}
+
+// TestCohortSinkPastDeadlineCountsOnce: a device whose result is folded
+// after the pool has already reported its task as timed out — here the
+// sink outlasts the deadline — is a survivor, counted once in the rows
+// and the aggregate, and not also a failure.
+func TestCohortSinkPastDeadlineCountsOnce(t *testing.T) {
+	const timeout = 2 * time.Second
+	cohort := testCohort(1)
+	cohort.Session = sim.Second
+	var start time.Time
+	cohort.testHook = func(int) { start = time.Now() }
+	cohort.Sink = func(DeviceResult) { time.Sleep(time.Until(start.Add(timeout + 300*time.Millisecond))) }
+	r, err := cohort.Run(context.Background(), Pool{Workers: 1, TaskTimeout: timeout})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(r.Failed) != 0 || len(r.Devices) != 1 || r.Aggregate.Devices != 1 || r.Aggregate.FailedDevices != 0 {
+		t.Errorf("failed=%+v rows=%d aggregate=%d/%d failed, want the device counted once as a survivor",
+			r.Failed, len(r.Devices), r.Aggregate.Devices, r.Aggregate.FailedDevices)
+	}
+}
+
+// TestCohortSinkPanicFailsDevice: a sink that panics on a row fails that
+// device and nothing else — the row is neither folded nor retained, so
+// the aggregate, the rows and the failure list stay consistent.
+func TestCohortSinkPanicFailsDevice(t *testing.T) {
+	for _, stream := range []bool{false, true} {
+		cohort := testCohort(3)
+		cohort.Stream = stream
+		cohort.Sink = func(d DeviceResult) {
+			if d.Device == 1 {
+				panic("sink rejects device 1")
+			}
+		}
+		r, err := cohort.Run(context.Background(), Pool{Workers: 2})
+		if err != nil {
+			t.Fatalf("stream=%v: %v", stream, err)
+		}
+		if len(r.Failed) != 1 || r.Failed[0].Device != 1 || r.Aggregate.Devices != 2 {
+			t.Errorf("stream=%v: failed=%+v aggregate devices=%d, want device 1 failed and 2 folded",
+				stream, r.Failed, r.Aggregate.Devices)
+		}
+		if !stream && (len(r.Devices) != 2 || r.Devices[0].Device != 0 || r.Devices[1].Device != 2) {
+			t.Errorf("retained rows %+v, want devices 0 and 2", r.Devices)
+		}
 	}
 }
 

@@ -20,8 +20,6 @@ type wireSpec struct {
 	SessionS     float64       `json:"session_s,omitempty"`
 	Governor     string        `json:"governor,omitempty"`
 	MeterSamples int           `json:"meter_samples,omitempty"`
-	NaivePixels  bool          `json:"naive_pixels,omitempty"`
-	NoPalette    bool          `json:"no_palette,omitempty"`
 	Profiles     []wireProfile `json:"profiles"`
 }
 
@@ -86,8 +84,6 @@ func ReadSpec(r io.Reader) (Cohort, error) {
 		Session:      sim.FromSeconds(ws.SessionS),
 		Governor:     mode,
 		MeterSamples: ws.MeterSamples,
-		NaivePixels:  ws.NaivePixels,
-		NoPalette:    ws.NoPalette,
 	}
 	for _, wp := range ws.Profiles {
 		p := Profile{
@@ -122,8 +118,6 @@ func WriteSpec(w io.Writer, c Cohort) error {
 		SessionS:     c.Session.Seconds(),
 		Governor:     c.Governor.String(),
 		MeterSamples: c.MeterSamples,
-		NaivePixels:  c.NaivePixels,
-		NoPalette:    c.NoPalette,
 	}
 	for _, p := range c.Profiles {
 		wp := wireProfile{

@@ -1,7 +1,6 @@
 // Streaming fleet aggregation: Accumulator folds per-device results into
 // a constant-size, mergeable summary, so million-device campaigns compute
-// the exact same Aggregate as the retained-slice path in O(workers)
-// memory instead of O(devices).
+// their Aggregate in O(workers) memory instead of O(devices).
 //
 // Determinism is achieved the way production telemetry pipelines do it —
 // by making the summary state integral, so accumulation commutes:
@@ -10,18 +9,16 @@
 //     and rounded to int64 once at Add time; integer addition is
 //     associative and commutative, so any partition of the cohort into
 //     per-worker shards merges to the same sums.
-//   - Percentiles and CDFs come from fixed-bin counting histograms at the
-//     same 0.1 resolution aggregate() has always rounded quality values
-//     to, with integer counts. Reconstructing the virtual sorted slice
-//     from the merged bins replicates trace.Percentile and trace.CDF
-//     bit-for-bit (same position arithmetic, same interpolation, same
-//     float divisions).
+//   - Percentiles and CDFs come from fixed-bin counting histograms at
+//     the 0.1 resolution quality values are rounded to, with integer
+//     counts. Reconstructing the virtual sorted slice from the merged
+//     bins replicates trace.Percentile and trace.CDF bit-for-bit (same
+//     position arithmetic, same interpolation, same float divisions).
 //
-// The retained path (Cohort without Stream) feeds one Accumulator in
-// device order; the streamed path feeds one per worker and merges them in
-// worker order. Identical integer state in, identical Aggregate out:
-// streamed aggregates are byte-identical to retained ones at any worker
-// count.
+// Every cohort run feeds one Accumulator per worker and merges them in
+// worker order. Identical integer state in, identical Aggregate out: the
+// aggregate equals a single Accumulator fed in device order, at any
+// worker count.
 package fleet
 
 import (
@@ -39,8 +36,8 @@ import (
 const microScale = 1e6
 
 // Bins per unit for the fixed-bin histograms. Percentage metrics use the
-// 0.1-point resolution aggregate() has always rounded quality to;
-// battery-hours use 0.001 h (3.6 s of screen-on time).
+// 0.1-point resolution quality is rounded to; battery-hours use 0.001 h
+// (3.6 s of screen-on time).
 const (
 	pctBinsPerUnit   = 10
 	hoursBinsPerUnit = 1000
@@ -88,8 +85,8 @@ func (h *histogram) sortedBins() []int32 {
 // value maps a bin back to its sample value. For a 0.1-resolution bin
 // this is exactly math.Round(v*10)/10: the rounded float is an exact
 // small integer, the int32 round-trip is lossless, and the final division
-// uses the same operands — so reconstructed values match what the
-// retained path would have sorted.
+// uses the same operands — so reconstructed values match a sort of the
+// rounded samples.
 func (h *histogram) value(bin int32) float64 { return float64(bin) / h.perUnit }
 
 // valueAt returns the idx-th smallest sample (0-based) by walking
@@ -153,8 +150,7 @@ func mean(sum, n int64) float64 { return float64(sum) / microScale / float64(n) 
 type Accumulator struct {
 	devices int64
 
-	// µ-scaled sums. Quality sums are over the 0.1-rounded values,
-	// mirroring what aggregate() has always averaged.
+	// µ-scaled sums. Quality sums are over the 0.1-rounded values.
 	baselineMW  int64
 	managedMW   int64
 	savedMW     int64
@@ -172,8 +168,7 @@ type Accumulator struct {
 }
 
 // profileAccumulator is the per-user-class shard: device count and
-// µ-scaled sums over the raw (unrounded) per-device values, mirroring the
-// per-profile means aggregate() has always reported.
+// µ-scaled sums over the raw (unrounded) per-device values.
 type profileAccumulator struct {
 	devices     int64
 	savedMW     int64
@@ -259,8 +254,7 @@ func (a *Accumulator) Merge(b *Accumulator) {
 func (a *Accumulator) Devices() int { return int(a.devices) }
 
 // Aggregate finalizes the summary. profiles fixes the per-profile
-// breakdown order to the cohort's declaration order, matching the
-// retained path.
+// breakdown order to the cohort's declaration order.
 func (a *Accumulator) Aggregate(profiles []Profile) Aggregate {
 	agg := Aggregate{Devices: int(a.devices)}
 	if a.devices == 0 {

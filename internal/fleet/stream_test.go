@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"ccdem/internal/trace"
@@ -51,6 +52,18 @@ func binned(vs []float64, perUnit float64) []float64 {
 
 func approxEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
+// referenceAggregate folds results into a single Accumulator in slice
+// order — the device-order reference every cohort run, which folds into
+// one accumulator per worker and merges them, must reproduce byte for
+// byte.
+func referenceAggregate(results []DeviceResult, profiles []Profile) Aggregate {
+	acc := NewAccumulator()
+	for _, r := range results {
+		acc.Add(r)
+	}
+	return acc.Aggregate(profiles)
+}
+
 // TestAccumulatorMatchesSliceReference is the streaming layer's core
 // property: folding results one by one must reproduce what an independent
 // slice-based implementation computes over the same population —
@@ -65,7 +78,7 @@ func TestAccumulatorMatchesSliceReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(1000 + trial)))
 		n := 1 + rng.Intn(400)
 		results := randomResults(rng, n)
-		agg := aggregate(results, profiles)
+		agg := referenceAggregate(results, profiles)
 
 		var savedPct, quality, trueQ, extraH []float64
 		var meanBase, meanManaged, meanSaved float64
@@ -216,43 +229,54 @@ func TestAccumulatorEmpty(t *testing.T) {
 	}
 }
 
-// TestStreamedCohortMatchesRetained pins the tentpole's exactness claim:
-// the streamed aggregate is byte-identical to the retained one at every
-// worker count and batch size, with and without device reuse in play.
+// TestStreamedCohortMatchesRetained pins the one accumulation path: at
+// every worker count and batch size, with and without device reuse in
+// play, a run that retains rows and a streamed run both deliver every
+// device to the sink and both produce the aggregate of a single
+// accumulator fed the retained rows in device order, byte for byte.
 func TestStreamedCohortMatchesRetained(t *testing.T) {
 	cohort := testCohort(6)
-	retained, err := cohort.Run(context.Background(), Pool{Workers: 1})
+	base, err := cohort.Run(context.Background(), Pool{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(base.Devices) != cohort.Devices {
+		t.Fatalf("retained %d device rows, want %d", len(base.Devices), cohort.Devices)
+	}
+	reference := Result{Aggregate: referenceAggregate(base.Devices, DefaultProfiles())}
 	var want bytes.Buffer
-	if err := retained.WriteJSON(&want, false); err != nil {
+	if err := reference.WriteJSON(&want, false); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct {
 		workers, batch int
 	}{{1, 0}, {2, 0}, {8, 0}, {8, 4}, {3, 64}} {
-		streamed := cohort
-		streamed.Stream = true
-		var rows int
-		streamed.Sink = func(d DeviceResult) { rows++ }
-		r, err := streamed.Run(context.Background(), Pool{Workers: tc.workers, Batch: tc.batch})
-		if err != nil {
-			t.Fatalf("workers=%d batch=%d: %v", tc.workers, tc.batch, err)
-		}
-		if r.Devices != nil {
-			t.Errorf("workers=%d: streamed run retained %d device rows", tc.workers, len(r.Devices))
-		}
-		if rows != cohort.Devices {
-			t.Errorf("workers=%d: sink saw %d rows, want %d", tc.workers, rows, cohort.Devices)
-		}
-		var got bytes.Buffer
-		if err := r.WriteJSON(&got, false); err != nil {
-			t.Fatal(err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("workers=%d batch=%d: streamed aggregate differs from retained:\n--- retained ---\n%s\n--- streamed ---\n%s",
-				tc.workers, tc.batch, want.String(), got.String())
+		for _, stream := range []bool{false, true} {
+			c := cohort
+			c.Stream = stream
+			var rows int
+			c.Sink = func(d DeviceResult) { rows++ }
+			r, err := c.Run(context.Background(), Pool{Workers: tc.workers, Batch: tc.batch})
+			if err != nil {
+				t.Fatalf("workers=%d batch=%d stream=%v: %v", tc.workers, tc.batch, stream, err)
+			}
+			if rows != cohort.Devices {
+				t.Errorf("workers=%d stream=%v: sink saw %d rows, want %d", tc.workers, stream, rows, cohort.Devices)
+			}
+			if stream && r.Devices != nil {
+				t.Errorf("workers=%d: streamed run retained %d device rows", tc.workers, len(r.Devices))
+			}
+			if !stream && !reflect.DeepEqual(r.Devices, base.Devices) {
+				t.Errorf("workers=%d batch=%d: retained rows differ from the 1-worker run", tc.workers, tc.batch)
+			}
+			var got bytes.Buffer
+			if err := r.WriteJSON(&got, false); err != nil {
+				t.Fatal(err)
+			}
+			if got.String() != want.String() {
+				t.Errorf("workers=%d batch=%d stream=%v: aggregate differs from the device-order fold:\n--- reference ---\n%s\n--- got ---\n%s",
+					tc.workers, tc.batch, stream, want.String(), got.String())
+			}
 		}
 	}
 }

@@ -73,8 +73,8 @@ func (b *Buffer) EnablePalettes() {
 }
 
 // DisablePalettes realizes every compressed tile back to raw pixels and
-// turns palette compression off — the `-no-palette` oracle path. Safe on
-// buffers that never had palettes.
+// turns palette compression off — the raw-tile twin the palette fuzzers
+// diff against. Safe on buffers that never had palettes.
 func (b *Buffer) DisablePalettes() {
 	if b.tiles == nil || !b.tiles.palOn {
 		return

@@ -12,6 +12,7 @@ package sim
 import (
 	"container/heap"
 	"fmt"
+	"math"
 )
 
 // Time is a virtual timestamp or duration in microseconds. Microsecond
@@ -34,8 +35,10 @@ func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 // Milliseconds converts t to floating-point milliseconds.
 func (t Time) Milliseconds() float64 { return float64(t) / float64(Millisecond) }
 
-// FromSeconds converts floating-point seconds to a Time.
-func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
+// FromSeconds converts floating-point seconds to a Time, rounded to the
+// nearest microsecond, so FromSeconds(t.Seconds()) == t for every t up
+// to 2^50 µs.
+func FromSeconds(s float64) Time { return Time(math.Round(s * float64(Second))) }
 
 // String formats the time as seconds with millisecond precision.
 func (t Time) String() string { return fmt.Sprintf("%.3fs", t.Seconds()) }

@@ -17,11 +17,37 @@ func TestTimeConversions(t *testing.T) {
 	if got := FromSeconds(0.25); got != 250*Millisecond {
 		t.Errorf("FromSeconds(0.25) = %v, want 250ms", got)
 	}
+	// 0.000249 s is 248.99999999999997 µs in float64, so truncating
+	// would return 248.
+	if got := FromSeconds(0.000249); got != 249*Microsecond {
+		t.Errorf("FromSeconds(0.000249) = %d µs, want 249", int64(got))
+	}
+	if got := FromSeconds(-0.000249); got != -249*Microsecond {
+		t.Errorf("FromSeconds(-0.000249) = %d µs, want -249", int64(got))
+	}
 	if got := Hz(60); got != Time(16666) {
 		t.Errorf("Hz(60) = %d µs, want 16666", got)
 	}
 	if got := Hz(20); got != 50*Millisecond {
 		t.Errorf("Hz(20) = %v, want 50ms", got)
+	}
+}
+
+// TestFromSecondsRoundTrip: every whole microsecond survives the trip
+// through float seconds — the first five million exhaustively, then a
+// random sweep up to 2^50 µs.
+func TestFromSecondsRoundTrip(t *testing.T) {
+	for v := Time(0); v < 5000000; v++ {
+		if got := FromSeconds(v.Seconds()); got != v {
+			t.Fatalf("FromSeconds(%v µs .Seconds()) = %d µs", int64(v), int64(got))
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000000; i++ {
+		v := Time(rng.Int63n(1 << 50))
+		if got := FromSeconds(v.Seconds()); got != v {
+			t.Fatalf("FromSeconds(%d µs .Seconds()) = %d µs", int64(v), int64(got))
+		}
 	}
 }
 

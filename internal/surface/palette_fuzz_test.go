@@ -11,7 +11,7 @@ import (
 // the same surface stimulus — frame requests, V-Syncs, a mid-run second
 // surface, session resets that recycle pooled buffers — drives a
 // ComposeTiles manager with palette compression enabled and one with it
-// disabled (the -no-palette oracle) in lockstep. The visible framebuffer
+// disabled (its raw-tile twin) in lockstep. The visible framebuffer
 // bytes and the FrameInfo stream (sequence, timing, dirty-pixel and
 // render accounting) must stay byte-identical whatever the fuzzer finds:
 // palette planes, promotion to raw, nibble-kernel blits and compares, and
@@ -92,7 +92,7 @@ func FuzzPaletteCompose(f *testing.F) {
 				mgrP.VSync(tNow, 60)
 				mgrO.VSync(tNow, 60)
 				if !mgrP.Framebuffer().Equal(mgrO.Framebuffer()) {
-					t.Fatalf("step %d (%dx%d): palette framebuffer diverges from no-palette oracle (scanout=%v, palTiles=%d)",
+					t.Fatalf("step %d (%dx%d): palette framebuffer diverges from its raw-tile twin (scanout=%v, palTiles=%d)",
 						step, w, h, mgrP.DirectScanout(), func() int { n, _ := mgrP.PaletteStats(); return n }())
 				}
 			}

@@ -20,7 +20,6 @@ const maxSpecBytes = 1 << 20
 //	GET    /healthz                 liveness ("ok", 503 once shutting down)
 //	GET    /version                 build identity JSON
 //	GET    /metrics                 Prometheus text exposition (0.0.4)
-//	GET    /api/metrics             plain-text metrics dump (legacy)
 //	POST   /api/jobs                submit a campaign (202 + progress)
 //	GET    /api/jobs                list all jobs' progress
 //	GET    /api/jobs/{id}           one job's progress
@@ -48,10 +47,6 @@ func Handler(m *Manager) http.Handler {
 	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		m.WritePrometheus(w)
-	})
-	mux.HandleFunc("GET /api/metrics", func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		m.WriteMetrics(w)
 	})
 	mux.HandleFunc("POST /api/jobs", func(w http.ResponseWriter, r *http.Request) {
 		var spec JobSpec

@@ -94,6 +94,9 @@ func TestHTTPSubmitValidation(t *testing.T) {
 		{"negative devices", string(badSpec(`{"version":1,"devices":-3,"profiles":[]}`)), "device count"},
 		{"bad spec version", string(badSpec(`{"version":9,"devices":4,"profiles":[]}`)), "unsupported spec version"},
 		{"unknown governor", string(badSpec(`{"version":1,"devices":4,"governor":"warp","profiles":[]}`)), "unknown governor"},
+		{"negative meter samples", string(badSpec(`{"version":1,"devices":4,"meter_samples":-5,"profiles":[]}`)), "meter samples"},
+		{"huge touch intensity", string(badSpec(`{"version":1,"devices":4,"profiles":[{"name":"p","weight":1,"touch_intensity":1e300,"apps":[{"name":"Facebook","weight":1}]}]}`)), "touch intensity"},
+		{"tiny touch intensity", string(badSpec(`{"version":1,"devices":4,"profiles":[{"name":"p","weight":1,"touch_intensity":1e-300,"apps":[{"name":"Facebook","weight":1}]}]}`)), "touch intensity"},
 		{"negative shards", `{"spec": {"version":1,"devices":4,"profiles":[]}, "shards": -1}`, "negative shard count"},
 		{"shards exceed devices", `{"spec": {"version":1,"devices":4,"profiles":[]}, "shards": 5}`, "empty shards"},
 		{"negative workers", `{"spec": {"version":1,"devices":4,"profiles":[]}, "workers": -1}`, "negative worker count"},
@@ -260,14 +263,15 @@ func TestHTTPHealthVersionMetrics(t *testing.T) {
 		t.Fatalf("version body = %+v", version)
 	}
 
+	// Metrics are served only as the Prometheus exposition at /metrics
+	// (TestHTTPMetricsPrometheus).
 	resp, err = http.Get(srv.URL + "/api/metrics")
 	if err != nil {
 		t.Fatalf("GET /api/metrics: %v", err)
 	}
-	metricsBody, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK || !strings.Contains(string(metricsBody), "svc.jobs.submitted") {
-		t.Fatalf("metrics = %d %q, want the jobs counters", resp.StatusCode, metricsBody)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /api/metrics = %d, want 404", resp.StatusCode)
 	}
 
 	// Once shutdown begins the daemon reports itself unhealthy and
@@ -305,7 +309,6 @@ func TestHTTPResponseHeaders(t *testing.T) {
 		{"/healthz", "text/plain; charset=utf-8"},
 		{"/version", "application/json"},
 		{"/metrics", "text/plain; version=0.0.4; charset=utf-8"},
-		{"/api/metrics", "text/plain; charset=utf-8"},
 		{"/api/jobs", "application/json"},
 		{"/api/jobs/" + submitted.ID, "application/json"},
 	}

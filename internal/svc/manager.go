@@ -82,7 +82,7 @@ type Manager struct {
 // counters, the running-jobs gauge, and a job-duration histogram. obs
 // instruments are single-goroutine by design (per-device registries,
 // merged after the run); here many job and shard goroutines update one
-// registry, so every touch — including the /api/metrics dump — goes
+// registry, so every touch — including the /metrics exposition — goes
 // through mu.
 type metrics struct {
 	mu  sync.Mutex
@@ -172,12 +172,6 @@ func (mx *metrics) observe(h *obs.Histogram, v float64) {
 	mx.mu.Unlock()
 }
 
-func (mx *metrics) write(w io.Writer) error {
-	mx.mu.Lock()
-	defer mx.mu.Unlock()
-	return mx.reg.WriteText(w)
-}
-
 // NewManager builds a manager ready to accept jobs.
 func NewManager(cfg Config) *Manager {
 	maxJobs := cfg.MaxJobs
@@ -212,9 +206,6 @@ func NewManager(cfg Config) *Manager {
 		jobs:      make(map[string]*Job),
 	}
 }
-
-// WriteMetrics dumps the manager's registry (GET /api/metrics).
-func (m *Manager) WriteMetrics(w io.Writer) error { return m.metrics.write(w) }
 
 // WritePrometheus writes the manager's registry in Prometheus text
 // exposition format (GET /metrics), followed by the service-level

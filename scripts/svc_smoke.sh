@@ -66,7 +66,6 @@ fi
 
 curl -fsS "$base/api/jobs/$id/result" > "$workdir/svc-result.json"
 diff "$workdir/svc-result.json" "$workdir/direct.json"
-curl -fsS "$base/api/metrics" | grep -q 'svc.jobs.submitted'
 
 kill -TERM "$svc_pid"
 wait "$svc_pid"
