@@ -35,6 +35,7 @@ fuzz:
 	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) ./internal/surface
 	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
+	$(GO) test -fuzz FuzzPaletteSnapshot -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzReadSpec -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet
 

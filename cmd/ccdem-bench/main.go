@@ -33,7 +33,8 @@ import (
 // pixel diff, fill, meter observe), the tile pipeline against its naive
 // oracle (compose and compare, whose naive rows double as the comparison
 // baseline), the palette representation against raw tiles (blit and hash
-// rows), the event engine (cold-start and steady-state), the
+// rows), the memo snapshot encoder over raw and compressed sources, the
+// event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —
 // single-op cohorts, cheap enough to gate). Heavier figure-regeneration
@@ -41,7 +42,7 @@ import (
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
-	`BenchmarkPaletteBlit|BenchmarkPaletteHash|` +
+	`BenchmarkPaletteBlit|BenchmarkPaletteHash|BenchmarkPaletteSnapshot|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`

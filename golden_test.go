@@ -15,12 +15,17 @@
 // and with it the production pipeline and its oracle alike — cannot pass
 // silently.
 //
+// TestGoldenFleetAggregate pins the fleet layer on top: one default-profile
+// cohort's aggregate JSON, produced in-process at two worker counts and as
+// a 2-way sharded campaign merged centrally.
+//
 // After an *intentional* behaviour change, refresh the files with:
 //
-//	go test -run 'TestGolden(Traces|Digests)' -update-golden .
+//	go test -run 'TestGolden(Traces|Digests|FleetAggregate)' -update-golden .
 package ccdem_test
 
 import (
+	"bytes"
 	"context"
 	"crypto/sha256"
 	"flag"
@@ -251,6 +256,76 @@ func TestGoldenDigests(t *testing.T) {
 	for i, line := range lines {
 		if line != wantLines[i] {
 			t.Errorf("decision stream changed (if intentional, refresh with -update-golden):\n  got:  %s\n  want: %s", line, wantLines[i])
+		}
+	}
+}
+
+// goldenCohort is the pinned fleet campaign: the default profile mix,
+// eight devices, 20 s nominal sessions.
+var goldenCohort = fleet.Cohort{Devices: 8, Seed: 12345, Session: 20 * sim.Second, Stream: true}
+
+// TestGoldenFleetAggregate runs goldenCohort at 1 and 4 workers and as a
+// 2-way RunShard → wire codec → MergeShards campaign, and requires all
+// three aggregate documents to equal testdata/golden/fleet_default.json
+// byte for byte. The relative proofs (tile vs naive, sharded vs direct)
+// cannot catch a change that moves every path together; this pin can.
+func TestGoldenFleetAggregate(t *testing.T) {
+	if testing.Short() {
+		t.Skip("the golden fleet aggregate needs full-length sessions")
+	}
+	encode := func(res *fleet.Result) string {
+		t.Helper()
+		var buf bytes.Buffer
+		if err := res.WriteJSON(&buf, false); err != nil {
+			t.Fatal(err)
+		}
+		return buf.String()
+	}
+	type run struct{ name, doc string }
+	var runs []run
+	for _, workers := range []int{1, 4} {
+		res, err := goldenCohort.Run(context.Background(), fleet.Pool{Workers: workers})
+		if err != nil {
+			t.Fatalf("%d workers: %v", workers, err)
+		}
+		runs = append(runs, run{fmt.Sprintf("%d workers", workers), encode(res)})
+	}
+	shards := make([]*fleet.Shard, 2)
+	for i := range shards {
+		c := goldenCohort
+		c.ShardIndex, c.ShardCount = i, len(shards)
+		s, err := c.RunShard(context.Background(), fleet.Pool{Workers: 1})
+		if err != nil {
+			t.Fatalf("shard %d: %v", i, err)
+		}
+		var doc bytes.Buffer
+		if err := s.Encode(&doc); err != nil {
+			t.Fatalf("shard %d: encode: %v", i, err)
+		}
+		if shards[i], err = fleet.DecodeShard(&doc); err != nil {
+			t.Fatalf("shard %d: decode: %v", i, err)
+		}
+	}
+	merged, err := fleet.MergeShards(shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runs = append(runs, run{"2 shards merged", encode(merged)})
+
+	path := filepath.Join("testdata", "golden", "fleet_default.json")
+	if *updateGolden {
+		if err := os.WriteFile(path, []byte(runs[0].doc), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("%v (run with -update-golden to create)", err)
+	}
+	for _, r := range runs {
+		if r.doc != string(want) {
+			t.Errorf("%s: aggregate differs from %s (if intentional, refresh with -update-golden)\n%s",
+				r.name, path, firstLineDiff(r.doc, string(want)))
 		}
 	}
 }

@@ -1,6 +1,9 @@
 package framebuffer
 
-import "bytes"
+import (
+	"bytes"
+	"encoding/binary"
+)
 
 // Palette-compressed tiles: the *Surface Compression Using Dynamic Color
 // Palettes* idea (PAPERS.md), the companion of the tile-signature
@@ -517,34 +520,13 @@ func (b *Buffer) EncodeAll() bool {
 // PaletteCap colors. b must be materialized and palette-enabled.
 func (b *Buffer) encodeTile(i int) bool {
 	t := b.tiles
-	r := b.TileRect(i)
-	pal := t.tilePal(i)
 	plane := t.tilePlane(i)
-	n := 0
-	for y := r.Y0; y < r.Y1; y++ {
-		np := (y&tileMask)<<TileShift + r.X0&tileMask
-		for _, c := range b.pix[y*b.w+r.X0 : y*b.w+r.X1] {
-			idx := -1
-			for k := 0; k < n; k++ {
-				if pal[k] == c {
-					idx = k
-					break
-				}
-			}
-			if idx < 0 {
-				if n == PaletteCap {
-					return false
-				}
-				pal[n] = c
-				idx = n
-				n++
-			}
-			sh := uint(np&1) * 4
-			plane[np>>1] = plane[np>>1]&^(0xF<<sh) | byte(idx)<<sh
-			np++
-		}
+	clear(plane) // encodeRows writes into a zeroed plane
+	p := snapPal{pal: t.tilePal(i)}
+	if !p.encodeRows(plane, b.pix, b.w, b.TileRect(i)) {
+		return false
 	}
-	t.palN[i] = uint8(n)
+	t.palN[i] = uint8(p.n)
 	t.palTiles++
 	return true
 }
@@ -619,45 +601,208 @@ func (b *Buffer) Compact() bool {
 // allocating a raw pixel array — the storage behind the app layer's
 // memoized screens (~0.55 MB instead of ~3.7 MB at 720×1280). It returns
 // nil when any tile needs more than PaletteCap colors.
+//
+// The bytes are a function of content alone: each tile lists its colors
+// in first-occurrence (row-major) order, and unused palette entries and
+// plane nibbles outside a partial edge tile stay zero. Raw source tiles
+// are encoded from their pixel rows in place; compressed source tiles are
+// re-indexed without decoding (see snapPal.remap).
 func NewPaletteSnapshot(src *Buffer) *Buffer {
 	b := &Buffer{w: src.w, h: src.h}
 	b.EnablePalettes()
 	t := b.tiles
 	rs := src.repr()
-	var row [TileSize]Color
+	st := rs.tiles
 	for i := range t.palN {
 		r := b.TileRect(i)
-		pal := t.tilePal(i)
-		plane := t.tilePlane(i)
-		n := 0
-		for y := r.Y0; y < r.Y1; y++ {
-			rs.readRow(row[:r.Dx()], r.X0, y, r.Dx())
-			np := (y&tileMask)<<TileShift + r.X0&tileMask
-			for _, c := range row[:r.Dx()] {
-				idx := -1
-				for k := 0; k < n; k++ {
-					if pal[k] == c {
-						idx = k
-						break
-					}
+		p := snapPal{pal: t.tilePal(i)}
+		if st != nil && st.palTiles > 0 && st.palN[i] > 0 {
+			p.remap(t.tilePlane(i), st.tilePlane(i), st.tilePal(i), r.Dx(), r.Dy())
+		} else if !p.encodeRows(t.tilePlane(i), rs.pix, rs.w, r) {
+			return nil
+		}
+		t.palN[i] = uint8(p.n)
+	}
+	t.palTiles = len(t.palN)
+	return b
+}
+
+// snapPal builds one snapshot tile: its palette in first-occurrence
+// order, a one-entry cache of the last color looked up, and — for a
+// compressed source tile — the map from source to snapshot indices.
+type snapPal struct {
+	pal  []Color // the tile's PaletteCap entries, initially zero
+	n    int
+	last Color
+	idx  byte
+
+	from  [PaletteCap]byte // snapshot index of each resolved source index
+	seen  uint16           // source indices resolved so far
+	moved bool             // some source index maps elsewhere
+}
+
+// index returns c's palette index, appending c on its first occurrence;
+// ok is false when c would be color PaletteCap+1.
+func (p *snapPal) index(c Color) (idx byte, ok bool) {
+	if c == p.last && p.n > 0 {
+		return p.idx, true
+	}
+	return p.lookup(c)
+}
+
+// lookup is index without the cache.
+func (p *snapPal) lookup(c Color) (idx byte, ok bool) {
+	k := 0
+	for k < p.n && p.pal[k] != c {
+		k++
+	}
+	if k == p.n {
+		if k == PaletteCap {
+			return 0, false
+		}
+		p.pal[k] = c
+		p.n++
+	}
+	p.last, p.idx = c, byte(k)
+	return p.idx, true
+}
+
+// encodeRows encodes raw tile rect r of pix (row stride w) into plane,
+// which must be zeroed. r starts on a tile corner, so every row starts on
+// a whole plane byte and each pixel pair fills one byte. A one-color row
+// costs one lookup and a byte fill.
+func (p *snapPal) encodeRows(plane []byte, pix []Color, w int, r Rect) bool {
+	for y := r.Y0; y < r.Y1; y++ {
+		row := pix[y*w+r.X0 : y*w+r.X1]
+		out := plane[(y&tileMask)*TileSize/2:][:(len(row)+1)/2]
+		if uniform(row) {
+			idx, ok := p.index(row[0])
+			if !ok {
+				return false
+			}
+			if idx != 0 { // the plane starts zeroed
+				k := 0
+				for ; k+8 <= len(out); k += 8 {
+					binary.LittleEndian.PutUint64(out[k:], uint64(idx)*0x1111111111111111)
 				}
-				if idx < 0 {
-					if n == PaletteCap {
-						return nil
-					}
-					pal[n] = c
-					idx = n
-					n++
+				for ; k < len(out); k++ {
+					out[k] = idx | idx<<4
 				}
-				sh := uint(np&1) * 4
-				plane[np>>1] = plane[np>>1]&^(0xF<<sh) | byte(idx)<<sh
-				np++
+				if len(row)&1 == 1 {
+					out[len(out)-1] = idx
+				}
+			}
+			continue
+		}
+		k := 0
+		for ; k+1 < len(row); k += 2 {
+			lo, ok := p.index(row[k])
+			if !ok {
+				return false
+			}
+			hi, ok := p.index(row[k+1])
+			if !ok {
+				return false
+			}
+			out[k/2] = lo | hi<<4
+		}
+		if k < len(row) {
+			lo, ok := p.index(row[k])
+			if !ok {
+				return false
+			}
+			out[k/2] = lo
+		}
+	}
+	return true
+}
+
+// uniform reports whether every pixel of row equals row[0], eight pixels
+// per branch with firstDiff's XOR fold.
+func uniform(row []Color) bool {
+	c := row[0]
+	k := 0
+	for ; k+8 <= len(row); k += 8 {
+		x := row[k : k+8 : k+8]
+		if (x[0]^c)|(x[1]^c)|(x[2]^c)|(x[3]^c)|(x[4]^c)|(x[5]^c)|(x[6]^c)|(x[7]^c) != 0 {
+			return false
+		}
+	}
+	for ; k < len(row); k++ {
+		if row[k] != c {
+			return false
+		}
+	}
+	return true
+}
+
+// remap re-indexes compressed source tile (splane, spal), whose content
+// is the dx×dy rect at the tile origin, into plane without decoding. A
+// first pass resolves each source index on its first occurrence in pixel
+// order, so the palette comes out exactly as encoding the decoded pixels
+// would build it; a second pass writes the plane — the source bytes as
+// they are when no index moved, else each byte through the map. The high
+// nibble past an odd-width row stays zero. At most PaletteCap source
+// indices map to at most as many colors, so remap cannot overflow.
+func (p *snapPal) remap(plane, splane []byte, spal []Color, dx, dy int) {
+	const rowBytes = TileSize / 2
+	span, rows := (dx+1)/2, dy
+	if dx == TileSize {
+		span, rows = dy*rowBytes, 1 // full-width rows are contiguous
+	}
+	odd := dx & 1
+	var last uint64
+	for y := 0; y < rows; y++ {
+		row := splane[y*rowBytes:][:span]
+		pairs := row[:span-odd]
+		for ; len(pairs) >= 8; pairs = pairs[8:] {
+			// A repeat of the last 8 bytes scanned holds no new index
+			// (last is a scanned word once anything is seen).
+			if w := binary.LittleEndian.Uint64(pairs); w != last || p.seen == 0 {
+				last = w
+				p.see(pairs[:8], spal)
 			}
 		}
-		t.palN[i] = uint8(n)
-		t.palTiles++
+		p.see(pairs, spal)
+		if odd == 1 {
+			p.resolve(row[span-1]&0xF, spal) // its high nibble is outside the rect
+		}
 	}
-	return b
+	for y := 0; y < rows; y++ {
+		src, dst := splane[y*rowBytes:][:span], plane[y*rowBytes:][:span]
+		if p.moved {
+			for k, v := range src {
+				dst[k] = p.from[v&0xF] | p.from[v>>4]<<4
+			}
+		} else {
+			copy(dst, src)
+		}
+		if odd == 1 {
+			dst[span-1] &= 0xF
+		}
+	}
+}
+
+// see resolves the source indices of a run of pixel-pair bytes in order.
+func (p *snapPal) see(pairs []byte, spal []Color) {
+	for _, v := range pairs {
+		if lo, hi := v&0xF, v>>4; p.seen>>lo&(p.seen>>hi)&1 == 0 {
+			p.resolve(lo, spal)
+			p.resolve(hi, spal)
+		}
+	}
+}
+
+// resolve maps source index s to its color's snapshot index on first
+// sight.
+func (p *snapPal) resolve(s byte, spal []Color) {
+	if p.seen>>s&1 != 0 {
+		return
+	}
+	idx, _ := p.lookup(spal[s])
+	p.from[s] = idx
+	p.seen |= 1 << s
+	p.moved = p.moved || idx != s
 }
 
 // ShareFromDamage is ShareFrom for consecutive memoized content states:

@@ -98,3 +98,43 @@ func BenchmarkPaletteHash(b *testing.B) {
 		})
 	}
 }
+
+// scrolledFeed returns a 720×1280 palette screen holding feedPaint's
+// content after a 24-px scroll of the list and a repaint of the vacated
+// rows: the list tiles are raw, the header tiles compressed.
+func scrolledFeed() *Buffer {
+	buf := New(720, 1280)
+	buf.EnableTiles()
+	buf.EnablePalettes()
+	feedPaint(buf)
+	buf.ScrollVert(R(0, 48, 720, 1280), 24)
+	buf.Fill(R(0, 48, 720, 72), RGB(200, 90, 20))
+	return buf
+}
+
+// snapSink keeps BenchmarkPaletteSnapshot's result live.
+var snapSink *Buffer
+
+// BenchmarkPaletteSnapshot measures the app state memo's store path: one
+// NewPaletteSnapshot of a 720×1280 feed screen. The raw row snapshots the
+// screen as a 24-px scroll leaves it — list tiles realized to raw pixels
+// under the compressed header — and the palette row the same screen after
+// EncodeAll, so every source tile is re-indexed instead of encoded.
+func BenchmarkPaletteSnapshot(b *testing.B) {
+	for _, bc := range []struct {
+		name   string
+		encode bool
+	}{{"raw", false}, {"palette", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := scrolledFeed()
+			if bc.encode {
+				buf.EncodeAll()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				snapSink = NewPaletteSnapshot(buf)
+			}
+		})
+	}
+}

@@ -151,7 +151,7 @@ func TestManagerResumesFromCheckpoint(t *testing.T) {
 		t.Fatalf("OpenStore: %v", err)
 	}
 	runnerB := newHoldRunner(0, 1, 2)
-	var logBuf bytes.Buffer
+	var logBuf logBuffer
 	mB := NewManager(Config{
 		Runner: runnerB,
 		Store:  storeB,
@@ -256,7 +256,7 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 			}
 			tc.write(t, store, "job-0007")
 
-			var logBuf bytes.Buffer
+			var logBuf logBuffer
 			m := NewManager(Config{
 				Runner: LocalRunner{},
 				Store:  store,
@@ -310,7 +310,7 @@ func TestRecoverDropsInvalidSpecJournal(t *testing.T) {
 	if err := store.JournalSpec("job-0001", []byte(`{"spec": null, "nonsense": true}`)); err != nil {
 		t.Fatalf("JournalSpec: %v", err)
 	}
-	var logBuf bytes.Buffer
+	var logBuf logBuffer
 	m := NewManager(Config{
 		Runner: LocalRunner{},
 		Store:  store,

@@ -261,7 +261,7 @@ func TestManagerRetriesFlakyShard(t *testing.T) {
 		err:      errors.New("worker lost"),
 		attempts: map[int]int{},
 	}
-	var logBuf bytes.Buffer
+	var logBuf logBuffer
 	m := NewManager(Config{
 		Runner: inner,
 		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),

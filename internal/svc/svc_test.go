@@ -67,6 +67,25 @@ func waitTerminal(t *testing.T, job *Job) Progress {
 	}
 }
 
+// logBuffer collects a Manager's log records for a test to read while a
+// job's goroutine may still be logging into it.
+type logBuffer struct {
+	mu  sync.Mutex
+	buf bytes.Buffer
+}
+
+func (b *logBuffer) Write(p []byte) (int, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.Write(p)
+}
+
+func (b *logBuffer) String() string {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.buf.String()
+}
+
 func TestManagerShardedJobMatchesDirectRun(t *testing.T) {
 	doc := testSpecDoc(t, 30)
 	m := NewManager(Config{Runner: LocalRunner{}, MaxJobs: 2})
