@@ -38,6 +38,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPaletteSnapshot -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzReadSpec -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet
+	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime $(FUZZTIME) ./internal/svc
 
 # Benchmark-regression gate over the pinned hot-path suite (see
 # cmd/ccdem-bench): medians of repeated runs vs results/bench_baseline.json.

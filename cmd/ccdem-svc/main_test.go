@@ -27,10 +27,39 @@ import (
 func TestMain(m *testing.M) {
 	for i, arg := range os.Args[1:] {
 		if arg == "-shard-worker" || strings.HasPrefix(arg, "-shard-worker=") {
+			pos := strings.TrimPrefix(arg, "-shard-worker=")
+			if pos == arg && i+2 < len(os.Args) {
+				pos = os.Args[i+2]
+			}
+			holdShard(pos)
 			os.Exit(realMain(os.Args[1+i:], os.Stdin, os.Stdout, os.Stderr))
 		}
 	}
 	os.Exit(m.Run())
+}
+
+// holdEnv names a release file. While it is set, a shard worker at any
+// position but the first waits for that file to exist before it runs, so
+// a test can hold a job open after its first shard has checkpointed.
+const holdEnv = "CCDEM_SVC_TEST_HOLD"
+
+// holdShard blocks a worker at shard position pos (i/n) as holdEnv asks.
+// The wait is bounded so that a worker orphaned by a failed test still
+// exits; a daemon that drains kills held workers long before that.
+func holdShard(pos string) {
+	release := os.Getenv(holdEnv)
+	if release == "" {
+		return
+	}
+	if index, _, err := fleet.ParseShard(pos); err != nil || index == 0 {
+		return
+	}
+	for deadline := time.Now().Add(2 * time.Minute); time.Now().Before(deadline); {
+		if _, err := os.Stat(release); err == nil {
+			return
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
 }
 
 // testSpecDoc serializes a small deterministic cohort spec.
@@ -222,6 +251,10 @@ func TestWorkerModeRoundTrip(t *testing.T) {
 }
 
 func TestWorkerModeRejectsBadInput(t *testing.T) {
+	good, err := json.Marshal(svc.JobSpec{Spec: testSpecDoc(t, 4)})
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
 		name  string
 		shard string
@@ -232,6 +265,7 @@ func TestWorkerModeRejectsBadInput(t *testing.T) {
 		{"malformed spec", "0/1", `{"spec": nope`},
 		{"unknown field", "0/1", `{"bogus": 1}`},
 		{"shard count mismatch", "0/3", `{"spec": {"version":1,"devices":4,"profiles":[]}, "shards": 2}`},
+		{"trailing data", "0/1", string(good) + ` {"spec": null}`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -659,13 +693,18 @@ func TestDaemonFlagValidation(t *testing.T) {
 	}
 }
 
-// TestDaemonStateDirResume boots the real daemon with -state-dir, parks
-// a campaign behind a crashing worker long enough to checkpoint nothing,
-// kills the daemon's jobs via SIGTERM drain, then boots a second daemon
-// over the same state dir and watches the SAME job ID finish with a
-// byte-identical result — the end-to-end daemon-loss resume path.
+// TestDaemonStateDirResume boots the real daemon with -state-dir, holds
+// a 3-shard campaign open after its first shard has checkpointed (shards
+// 1 and 2 wait on a release file, see holdShard), drains the daemon with
+// SIGTERM, then releases the held shards and boots a second daemon over
+// the same state dir. The SAME job ID must finish with a byte-identical
+// result — the end-to-end daemon-loss resume path — and its state must
+// then be removed.
 func TestDaemonStateDirResume(t *testing.T) {
-	stateDir := filepath.Join(t.TempDir(), "state")
+	tmp := t.TempDir()
+	stateDir := filepath.Join(tmp, "state")
+	release := filepath.Join(tmp, "release")
+	t.Setenv(holdEnv, release)
 	doc := testSpecDoc(t, 24)
 	want := directRunJSON(t, doc)
 
@@ -754,6 +793,9 @@ func TestDaemonStateDirResume(t *testing.T) {
 	if _, err := os.Stat(ckptPath); err != nil {
 		t.Fatalf("checkpoint did not survive the daemon: %v", err)
 	}
+	if err := os.WriteFile(release, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	// Daemon 2 over the same state dir: the job must come back under its
 	// original ID and run to completion.
@@ -799,13 +841,23 @@ func TestDaemonStateDirResume(t *testing.T) {
 	if !bytes.Equal(got, want) {
 		t.Errorf("resumed daemon result differs from unfaulted run:\n got: %s\nwant: %s", got, want)
 	}
-	// Terminal cleanup: nothing left to resurrect on a third boot.
-	entries, err := os.ReadDir(stateDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Errorf("state dir not cleaned after completion: %s", e.Name())
+	// Terminal cleanup: nothing left to resurrect on a third boot. A job's
+	// result becomes visible before its state is removed (DESIGN §14), so
+	// wait for the removal rather than race it.
+	for deadline = time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		entries, err := os.ReadDir(stateDir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(entries) == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			for _, e := range entries {
+				t.Errorf("state dir not cleaned after completion: %s", e.Name())
+			}
+			break
+		}
 	}
 	sigint()
 	select {

@@ -313,16 +313,22 @@ func (m *Model) pulseRect() framebuffer.Rect {
 }
 
 // paintVideo repaints the letterboxed video area with a band pattern
-// derived from the current frame number.
+// derived from the current frame number. The bands go to the buffer as
+// one FillRects batch: a tile straddling a band edge is then written once
+// per frame with the two colors it shows, instead of gaining both by
+// partial fills until its palette overflows to raw.
 func (m *Model) paintVideo(buf *framebuffer.Buffer) framebuffer.Rect {
 	r := m.videoRect()
+	m.bands, m.bandColors = m.bands[:0], m.bandColors[:0]
 	for x := r.X0; x < r.X1; x += bandW {
 		x1 := x + bandW
 		if x1 > r.X1 {
 			x1 = r.X1
 		}
-		buf.Fill(framebuffer.R(x, r.Y0, x1, r.Y1), hashColor(m.contentSeq, m.salt()+uint64(x/bandW)))
+		m.bands = append(m.bands, framebuffer.R(x, r.Y0, x1, r.Y1))
+		m.bandColors = append(m.bandColors, hashColor(m.contentSeq, m.salt()+uint64(x/bandW)))
 	}
+	buf.FillRects(m.bands, m.bandColors)
 	return r
 }
 

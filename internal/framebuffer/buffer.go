@@ -135,6 +135,37 @@ func (b *Buffer) Fill(r Rect, c Color) int {
 	return r.Area()
 }
 
+// FillRects fills each rects[k] (clamped to the buffer) with colors[k],
+// in order, and returns the number of pixels written. Content, return
+// value and every tile generation equal those of the same sequence of
+// Fill calls; only the representation may differ. On palette-enabled
+// buffers each touched tile is resolved once for the whole batch (see
+// fillBinned), so a tile that several rects cover is written once, into a
+// fresh palette, instead of collecting every rect's color until it
+// overflows to raw. The slices must have equal lengths.
+func (b *Buffer) FillRects(rects []Rect, colors []Color) int {
+	if len(rects) != len(colors) {
+		panic(fmt.Sprintf("framebuffer: FillRects with %d rects and %d colors", len(rects), len(colors)))
+	}
+	if t := b.tiles; t == nil || !t.palOn {
+		n := 0
+		for k, r := range rects {
+			n += b.Fill(r, colors[k])
+		}
+		return n
+	}
+	area := 0
+	for _, r := range rects {
+		area += r.Clamp(b.Bounds()).Area()
+	}
+	if area == 0 {
+		return 0
+	}
+	b.own()
+	b.fillBinned(rects, colors)
+	return area
+}
+
 // FillAll sets the whole buffer to c.
 func (b *Buffer) FillAll(c Color) int { return b.Fill(b.Bounds(), c) }
 

@@ -281,68 +281,215 @@ func (b *Buffer) fillRows(r Rect, c Color) {
 }
 
 // fillNibs writes palette index idx into every nibble of the tile-local
-// projection of clip (buffer coordinates, within one tile).
+// projection of clip (buffer coordinates, within one tile). Each 16-byte
+// plane row is two little-endian words in which nibble x sits at bits
+// 4x..4x+3 (modulo 64), so a row takes two masked word stores whatever
+// its span.
 func fillNibs(plane []byte, clip Rect, idx byte) {
-	bb := idx | idx<<4
-	lx0 := clip.X0 & tileMask
-	lx1 := (clip.X1-1)&tileMask + 1
+	v := uint64(idx) * 0x1111111111111111
+	ml, mh := nibSpan(clip.X0&tileMask, (clip.X1-1)&tileMask+1)
 	for y := clip.Y0; y < clip.Y1; y++ {
-		np := (y&tileMask)<<TileShift + lx0
-		end := (y&tileMask)<<TileShift + lx1
-		if np&1 == 1 {
-			plane[np>>1] = plane[np>>1]&0x0F | idx<<4
-			np++
-		}
-		if end&1 == 1 && end > np {
-			end--
-			plane[end>>1] = plane[end>>1]&0xF0 | idx
-		}
-		row := plane[np>>1 : end>>1]
-		for k := range row {
-			row[k] = bb
-		}
+		row := plane[(y&tileMask)*(TileSize/2):][:TileSize/2]
+		lo, hi := binary.LittleEndian.Uint64(row), binary.LittleEndian.Uint64(row[8:])
+		binary.LittleEndian.PutUint64(row, lo&^ml|v&ml)
+		binary.LittleEndian.PutUint64(row[8:], hi&^mh|v&mh)
 	}
 }
 
-// fillPal is Fill's kernel for palette-enabled buffers: a tile fully
-// covered by r resets to a fresh single-color palette (a 512-byte memset
-// instead of a 4 KB pixel fill), a partially covered compressed tile
-// takes an index fill when c fits its palette (promoting to raw on
-// overflow), and raw tiles take the raw row fill. r must be clamped and
-// non-empty; b must be materialized.
+// nibSpan returns the masks of tile-local nibbles [x0, x1) in the low and
+// high words of a plane row.
+func nibSpan(x0, x1 int) (lo, hi uint64) {
+	return nibMask(min(x0, 16), min(x1, 16)), nibMask(max(x0-16, 0), max(x1-16, 0))
+}
+
+// nibMask returns the mask of nibbles [a, b) of one word, 0 <= a <= b <=
+// 16 (a shift by 64 is 0 in Go, so b == 16 sets the top nibble).
+func nibMask(a, b int) uint64 {
+	return (1<<(4*b) - 1) &^ (1<<(4*a) - 1)
+}
+
+// fillPal is Fill's kernel for palette-enabled buffers: fillTile over
+// every tile r touches. r must be clamped and non-empty; b must be
+// materialized.
 func (b *Buffer) fillPal(r Rect, c Color) {
 	t := b.tiles
 	for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
 		for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
 			i := ty*t.cols + tx
 			tr := b.TileRect(i)
-			clip := tr.Intersect(r)
-			if clip == tr {
-				if t.palN[i] != 1 {
-					// An already-solid tile's plane is zero by invariant;
-					// everything else needs the 512-byte plane reset.
-					if t.palN[i] == 0 {
-						t.palTiles++
-					}
-					t.palN[i] = 1
-					plane := t.tilePlane(i)
-					for k := range plane {
-						plane[k] = 0
-					}
-				}
-				t.tilePal(i)[0] = c
-				continue
-			}
-			if t.palN[i] > 0 {
-				if idx := t.palIndex(i, c); idx >= 0 {
-					fillNibs(t.tilePlane(i), clip, byte(idx))
-					continue
-				}
-				b.realizeTile(i)
-			}
-			b.fillRows(clip, c)
+			b.fillTile(i, tr, tr.Intersect(r), c)
 		}
 	}
+}
+
+// fillTile fills clip, the non-empty part of a fill inside tile i (rect
+// tr), with c on a palette-enabled buffer: a fully covered tile resets to
+// a fresh single-color palette (a 512-byte memset instead of a 4 KB pixel
+// fill), a partially covered compressed tile takes an index fill when c
+// fits its palette (promoting to raw on overflow), and a raw tile takes
+// the raw row fill. b must be materialized.
+func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
+	t := b.tiles
+	if clip == tr {
+		if t.palN[i] != 1 {
+			// An already-solid tile's plane is zero by invariant;
+			// everything else needs the 512-byte plane reset.
+			if t.palN[i] == 0 {
+				t.palTiles++
+			}
+			t.palN[i] = 1
+			clear(t.tilePlane(i))
+		}
+		t.tilePal(i)[0] = c
+		return
+	}
+	if t.palN[i] > 0 {
+		if idx := t.palIndex(i, c); idx >= 0 {
+			fillNibs(t.tilePlane(i), clip, byte(idx))
+			return
+		}
+		b.realizeTile(i)
+	}
+	b.fillRows(clip, c)
+}
+
+// fillBinned is FillRects' kernel for palette-enabled buffers. It bins
+// the clamped rects by tile in call order, marks each rect's tiles at its
+// own generation exactly as its Fill would, and then resolves every
+// touched tile once: a tile one rect reaches takes fillTile; a tile its
+// rects cover completely in at most PaletteCap colors is rebuilt by
+// fillCovered; any other tile replays its rects in order through
+// fillTile. At least one rect must be non-empty once clamped, and b must
+// be materialized. The bins live on the tile set and are reused, so a
+// steady stream of batches does not allocate.
+func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
+	t := b.tiles
+	if t.binN == nil {
+		t.binN = make([]int32, t.cols*t.rows)
+	}
+	bounds := b.Bounds()
+	// Pass 1 sizes each tile's bin and lists the tiles in first-touch
+	// order; pass 2 lays the bins out back to back and fills them.
+	bins := t.bins[:0]
+	for _, r := range rects {
+		r = r.Clamp(bounds)
+		if r.Empty() {
+			continue
+		}
+		for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
+			for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
+				i := ty*t.cols + tx
+				if t.binN[i] == 0 {
+					bins = append(bins, tileBin{tx: int32(tx), ty: int32(ty)})
+				}
+				t.binN[i]++
+			}
+		}
+	}
+	off := int32(0)
+	for j, bn := range bins {
+		i := int(bn.ty)*t.cols + int(bn.tx)
+		bins[j].off = off
+		off, t.binN[i] = off+t.binN[i], off // binN becomes the fill cursor
+	}
+	binK := append(t.binK[:0], make([]int32, off)...)
+	for k, r := range rects {
+		r = r.Clamp(bounds)
+		if r.Empty() {
+			continue
+		}
+		b.touch(r)
+		for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
+			for i := ty*t.cols + r.X0>>TileShift; i <= ty*t.cols+(r.X1-1)>>TileShift; i++ {
+				binK[t.binN[i]] = int32(k)
+				t.binN[i]++
+			}
+		}
+	}
+	for _, bn := range bins {
+		i := int(bn.ty)*t.cols + int(bn.tx)
+		ks := binK[bn.off:t.binN[i]]
+		t.binN[i] = 0
+		tr := Rect{int(bn.tx) << TileShift, int(bn.ty) << TileShift, int(bn.tx+1) << TileShift, int(bn.ty+1) << TileShift}.
+			Clamp(bounds)
+		if len(ks) == 1 {
+			b.fillTile(i, tr, rects[ks[0]].Intersect(tr), colors[ks[0]])
+			continue
+		}
+		if b.fillCovered(i, tr, rects, colors, ks) {
+			continue
+		}
+		for _, k := range ks {
+			b.fillTile(i, tr, rects[k].Intersect(tr), colors[k])
+		}
+	}
+	t.bins, t.binK = bins, binK
+}
+
+// tileBin is one touched tile of a FillRects batch and the offset of its
+// run of rect indices in tileSet.binK.
+type tileBin struct{ tx, ty, off int32 }
+
+// fillCovered resolves tile i (rect tr) under the rects ks of a batch,
+// in call order, when together they cover every pixel of the tile in at
+// most PaletteCap colors. The tile then gets a fresh palette of the
+// colors drawn into it. Rows that the same rects cross form a run whose
+// 16-byte nibble row is built once and copied down the run; vertical
+// bands make the whole tile one run. Only the tile's own nibbles are
+// written: those past a partial edge tile are zero in every plane, so a
+// single color leaves the all-zero plane palN == 1 requires. fillCovered
+// reports false, writing nothing, when the rects leave a pixel uncovered
+// or draw more than PaletteCap colors.
+func (b *Buffer) fillCovered(i int, tr Rect, rects []Rect, colors []Color, ks []int32) bool {
+	var pal [PaletteCap]Color
+	p := snapPal{pal: pal[:]}
+	for _, k := range ks {
+		if _, ok := p.index(colors[k]); !ok {
+			return false
+		}
+	}
+	// Find the runs (tile-local rows y to ends[y]) and check that each
+	// covers the tile's width.
+	var ends [TileSize]uint8
+	full := uint32(1)<<tr.Dx() - 1
+	for y := 0; y < tr.Dy(); y = int(ends[y]) {
+		end, cover := tr.Dy(), uint32(0)
+		for _, k := range ks {
+			c := rects[k].Intersect(tr)
+			switch y0, y1 := c.Y0-tr.Y0, c.Y1-tr.Y0; {
+			case y0 <= y && y < y1:
+				cover |= uint32(1)<<(c.X1-tr.X0) - uint32(1)<<(c.X0-tr.X0)
+				end = min(end, y1)
+			case y0 > y:
+				end = min(end, y0)
+			}
+		}
+		if cover != full {
+			return false
+		}
+		ends[y] = uint8(end)
+	}
+	t := b.tiles
+	if t.palN[i] == 0 {
+		t.palTiles++
+	}
+	t.palN[i] = uint8(p.n)
+	copy(t.tilePal(i), pal[:p.n])
+	const rowBytes = TileSize / 2
+	plane := t.tilePlane(i)
+	for y := 0; y < tr.Dy(); y = int(ends[y]) {
+		run := plane[y*rowBytes : int(ends[y])*rowBytes]
+		for _, k := range ks {
+			if c := rects[k].Intersect(tr); c.Y0-tr.Y0 <= y && y < c.Y1-tr.Y0 {
+				idx, _ := p.index(colors[k])
+				fillNibs(run, Rect{c.X0, 0, c.X1, 1}, idx)
+			}
+		}
+		for m := rowBytes; m < len(run); m *= 2 {
+			copy(run[m:], run[:m])
+		}
+	}
+	return true
 }
 
 // copyAllFrom copies src's full content into b, staying in the palette
@@ -627,9 +774,10 @@ func NewPaletteSnapshot(src *Buffer) *Buffer {
 	return b
 }
 
-// snapPal builds one snapshot tile: its palette in first-occurrence
-// order, a one-entry cache of the last color looked up, and — for a
-// compressed source tile — the map from source to snapshot indices.
+// snapPal builds one tile palette in first-occurrence order — a snapshot
+// tile, or a tile FillRects rebuilds — with a one-entry cache of the last
+// color looked up and, for a compressed snapshot source tile, the map
+// from source to snapshot indices.
 type snapPal struct {
 	pal  []Color // the tile's PaletteCap entries, initially zero
 	n    int

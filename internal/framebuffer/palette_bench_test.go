@@ -138,3 +138,48 @@ func BenchmarkPaletteSnapshot(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkPaletteFill measures one MX Player video frame — twelve 60-px
+// bands over the letterboxed half of a 720×1280 palette screen, in one of
+// 64 rotating color sets — painted as twelve Fill calls and as one
+// FillRects batch. Both rows warm up through every color set first, so
+// the fill row runs in its steady state: the 200 band-edge tiles have
+// overflowed their palettes and are filled raw, row by row. The rects
+// row rebuilds each band-edge tile once per frame as a two-color palette.
+func BenchmarkPaletteFill(b *testing.B) {
+	rects := videoBands()
+	var sets [64][]Color
+	for s := range sets {
+		sets[s] = make([]Color, len(rects))
+		for k := range rects {
+			sets[s][k] = RGB(uint8(s*37+k*11), uint8(s*13+k*71), uint8(s*89+k*5))
+		}
+	}
+	for _, bc := range []struct {
+		name  string
+		batch bool
+	}{{"fill", false}, {"rects", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := New(720, 1280)
+			buf.EnablePalettes()
+			buf.Recycle()
+			paint := func(colors []Color) {
+				if bc.batch {
+					buf.FillRects(rects, colors)
+					return
+				}
+				for k, r := range rects {
+					buf.Fill(r, colors[k])
+				}
+			}
+			for _, colors := range sets {
+				paint(colors)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				paint(sets[i%len(sets)])
+			}
+		})
+	}
+}

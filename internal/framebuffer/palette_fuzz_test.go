@@ -8,19 +8,21 @@ import (
 // FuzzPaletteCompare differentially tests the palette-compressed tile
 // representation against the raw tile pipeline: the same mutation stream
 // — fills from a narrow palette, wide-color fills that force promotion,
-// single stores, scrolls, blits — drives a palette buffer and a raw-tile
-// buffer in lockstep, and after every operation the two must agree on
-// every read path: At, Equal, DiffPixels, per-tile signatures, grid
-// sampling and mean luminance. Snapshot/share round-trips (EncodeAll,
-// Compact, NewPaletteSnapshot, ShareFromDamage) are interleaved as
-// content-preserving no-ops. Any divergence means a nibble kernel,
-// promotion edge or copy-on-write path changed visible bytes.
+// FillRects batches, single stores, scrolls, blits — drives a palette
+// buffer and a raw-tile buffer in lockstep, and after every operation the
+// two must agree on every read path: At, Equal, DiffPixels, per-tile
+// signatures, grid sampling and mean luminance. Snapshot/share
+// round-trips (EncodeAll, Compact, NewPaletteSnapshot, ShareFromDamage)
+// are interleaved as content-preserving no-ops. Any divergence means a
+// nibble kernel, binned fill, promotion edge or copy-on-write path
+// changed visible bytes.
 func FuzzPaletteCompare(f *testing.F) {
-	f.Add(int64(1), []byte{0, 0, 2, 3, 8}, uint8(64), uint8(64))
-	f.Add(int64(2), []byte{2, 2, 2, 2, 2, 2, 8, 6}, uint8(33), uint8(47)) // wide fills: promotion pressure
-	f.Add(int64(3), []byte{0, 4, 5, 0, 8, 6, 7, 0, 8}, uint8(96), uint8(40))
-	f.Add(int64(4), []byte{3, 3, 3, 3, 8, 0, 6, 8}, uint8(31), uint8(32)) // single stores walk a palette to 16 then over
-	f.Add(int64(5), []byte{0, 5, 5, 2, 8, 7, 0, 8, 6}, uint8(80), uint8(130))
+	f.Add(int64(1), []byte{0, 0, 2, 3, 9}, uint8(64), uint8(64))
+	f.Add(int64(2), []byte{2, 2, 2, 2, 2, 2, 9, 6}, uint8(33), uint8(47)) // wide fills: promotion pressure
+	f.Add(int64(3), []byte{0, 4, 5, 0, 9, 6, 7, 0, 9}, uint8(96), uint8(40))
+	f.Add(int64(4), []byte{3, 3, 3, 3, 9, 0, 6, 9}, uint8(31), uint8(32)) // single stores walk a palette to 16 then over
+	f.Add(int64(5), []byte{0, 5, 5, 2, 9, 7, 0, 9, 6}, uint8(80), uint8(130))
+	f.Add(int64(6), []byte{8, 8, 9, 8, 2, 8, 7, 8}, uint8(99), uint8(119)) // FillRects batches over recycled and promoted tiles
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8) {
 		w := int(w8%100) + 8 // 8..107: partial edge tiles in both axes
@@ -88,8 +90,10 @@ func FuzzPaletteCompare(f *testing.F) {
 			}
 		}
 
+		var batch []Rect
+		var batchColors []Color
 		for step, op := range ops {
-			switch op % 9 {
+			switch op % 10 {
 			case 0, 1: // narrow fill: the palettized fast path
 				r, c := randRect(), narrow[rng.Intn(len(narrow))]
 				if np, nr := pb.Fill(r, c), rb.Fill(r, c); np != nr {
@@ -140,6 +144,11 @@ func FuzzPaletteCompare(f *testing.F) {
 					if vs, rs := view.TileSig(i), rb.TileSig(i); vs != rs {
 						t.Fatalf("step %d: shared view tile %d sig %016x, raw %016x", step, i, vs, rs)
 					}
+				}
+			case 8: // a FillRects batch: bands, overlaps, off-screen rects, >16 colors in a tile
+				batch, batchColors = randFillBatch(rng, w, h, narrow[:], batch[:0], batchColors[:0])
+				if np, nr := pb.FillRects(batch, batchColors), rb.FillRects(batch, batchColors); np != nr {
+					t.Fatalf("step %d: FillRects count palette=%d raw=%d", step, np, nr)
 				}
 			default: // recycle both: must come back blank and in lockstep
 				if rng.Intn(2) == 0 {

@@ -71,6 +71,12 @@ type tileSet struct {
 	solidC   Color
 	solidSig uint64
 	solidOK  bool
+	// FillRects bins (see fillBinned), reused across batches: each tile's
+	// bin size, zero between batches; the touched tiles in first-touch
+	// order; and their runs of rect indices, back to back.
+	binN []int32
+	bins []tileBin
+	binK []int32
 }
 
 // EnableTiles turns on tile tracking for b. It is idempotent; dimensions

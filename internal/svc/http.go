@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"time"
 
@@ -49,15 +48,9 @@ func Handler(m *Manager) http.Handler {
 		m.WritePrometheus(w)
 	})
 	mux.HandleFunc("POST /api/jobs", func(w http.ResponseWriter, r *http.Request) {
-		var spec JobSpec
-		dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
-		dec.DisallowUnknownFields()
-		if err := dec.Decode(&spec); err != nil {
+		spec, err := DecodeJobSpec(http.MaxBytesReader(w, r.Body, maxSpecBytes))
+		if err != nil {
 			httpError(w, http.StatusBadRequest, "parsing job: %v", err)
-			return
-		}
-		if _, err := dec.Token(); err != io.EOF {
-			httpError(w, http.StatusBadRequest, "parsing job: trailing data after document")
 			return
 		}
 		job, err := m.Submit(spec)

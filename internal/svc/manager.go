@@ -336,13 +336,9 @@ func (m *Manager) Recover() (int, error) {
 			m.logger.Error("recover: unreadable spec journal; skipping", "job", id, "error", err.Error())
 			continue
 		}
-		var spec JobSpec
-		dec := json.NewDecoder(bytes.NewReader(specDoc))
-		dec.DisallowUnknownFields()
+		spec, err := DecodeJobSpec(bytes.NewReader(specDoc))
 		var cohort fleet.Cohort
-		if derr := dec.Decode(&spec); derr != nil {
-			err = derr
-		} else {
+		if err == nil {
 			cohort, err = spec.cohort()
 		}
 		if err != nil {

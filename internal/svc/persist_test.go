@@ -302,29 +302,44 @@ func TestRecoverRejectsBadCheckpoints(t *testing.T) {
 	}
 }
 
+// TestRecoverDropsInvalidSpecJournal: recovery reads journals through
+// DecodeJobSpec, so a journal the HTTP API would have refused — an
+// unknown field, or a valid job followed by trailing data — is dropped,
+// not resumed.
 func TestRecoverDropsInvalidSpecJournal(t *testing.T) {
-	store, err := OpenStore(filepath.Join(t.TempDir(), "state"))
+	good, err := json.Marshal(JobSpec{Spec: testSpecDoc(t, 4)})
 	if err != nil {
-		t.Fatalf("OpenStore: %v", err)
+		t.Fatal(err)
 	}
-	if err := store.JournalSpec("job-0001", []byte(`{"spec": null, "nonsense": true}`)); err != nil {
-		t.Fatalf("JournalSpec: %v", err)
+	for name, doc := range map[string]string{
+		"unknown field": `{"spec": null, "nonsense": true}`,
+		"trailing data": string(good) + ` {"spec": null}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			store, err := OpenStore(filepath.Join(t.TempDir(), "state"))
+			if err != nil {
+				t.Fatalf("OpenStore: %v", err)
+			}
+			if err := store.JournalSpec("job-0001", []byte(doc)); err != nil {
+				t.Fatalf("JournalSpec: %v", err)
+			}
+			var logBuf logBuffer
+			m := NewManager(Config{
+				Runner: LocalRunner{},
+				Store:  store,
+				Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
+			})
+			defer m.Shutdown(context.Background())
+			resumed, err := m.Recover()
+			if err != nil || resumed != 0 {
+				t.Fatalf("Recover = (%d, %v), want (0, nil)", resumed, err)
+			}
+			if !strings.Contains(logBuf.String(), "invalid spec journal") {
+				t.Errorf("drop not logged:\n%s", logBuf.String())
+			}
+			assertStateDirEmpty(t, store.Dir())
+		})
 	}
-	var logBuf logBuffer
-	m := NewManager(Config{
-		Runner: LocalRunner{},
-		Store:  store,
-		Logger: slog.New(slog.NewJSONHandler(&logBuf, nil)),
-	})
-	defer m.Shutdown(context.Background())
-	resumed, err := m.Recover()
-	if err != nil || resumed != 0 {
-		t.Fatalf("Recover = (%d, %v), want (0, nil)", resumed, err)
-	}
-	if !strings.Contains(logBuf.String(), "invalid spec journal") {
-		t.Errorf("drop not logged:\n%s", logBuf.String())
-	}
-	assertStateDirEmpty(t, store.Dir())
 }
 
 // TestRecoverCompleteCheckpoint: a job whose checkpoint already covers

@@ -235,10 +235,8 @@ func RunWorker(ctx context.Context, shardArg string, stdin io.Reader, stdout, st
 	if err != nil {
 		return err
 	}
-	var spec JobSpec
-	dec := json.NewDecoder(stdin)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
+	spec, err := DecodeJobSpec(stdin)
+	if err != nil {
 		return fmt.Errorf("svc: worker: parsing job spec: %w", err)
 	}
 	if got := spec.shards(); got != count {

@@ -10,7 +10,9 @@ package svc
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
 	"time"
 
 	"ccdem/internal/fault"
@@ -43,6 +45,32 @@ type JobSpec struct {
 	TaskTimeoutS float64 `json:"task_timeout_s,omitempty"`
 	// Label is a free-form human tag echoed in progress reports.
 	Label string `json:"label,omitempty"`
+}
+
+// DecodeJobSpec reads one JobSpec document from r. It is the one decoder
+// of job documents — the HTTP API, journal recovery and the shard worker
+// all read through it — so all three accept exactly the same documents:
+// unknown fields and any data after the document are rejected. The
+// embedded cohort document comes back in the form json.Marshal writes it
+// (compact, an absent spec as null), which is the form the journal and
+// the workers receive, so a decoded spec re-encodes and decodes to itself.
+// It does not validate the run parameters or the cohort; Validate does.
+func DecodeJobSpec(r io.Reader) (JobSpec, error) {
+	var spec JobSpec
+	dec := json.NewDecoder(r)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&spec); err != nil {
+		return JobSpec{}, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return JobSpec{}, errors.New("trailing data after document")
+	}
+	doc, err := json.Marshal(spec.Spec)
+	if err != nil {
+		return JobSpec{}, err
+	}
+	spec.Spec = doc
+	return spec, nil
 }
 
 // shards is the normalized shard count.
