@@ -122,9 +122,9 @@ type Config struct {
 	// NaivePixels forces the pre-tile brute-force pixel pipeline:
 	// full-rect composition blits and full-lattice grid comparison on
 	// every frame. The default (false) runs the tile-tracked pipeline —
-	// damage-only composition with per-tile content signatures, direct
-	// scanout of a sole full-screen surface, tile-delta grid comparison,
-	// palette-compressed tiles and the app state memo — which produces
+	// direct scanout of a sole full-screen surface, tile-delta grid
+	// comparison, palette-compressed tiles and blits, and the app state
+	// memo — which produces
 	// bit-identical framebuffer contents, meter verdicts, decision traces
 	// and statistics. The naive path runs without tiles, palettes or the
 	// memo and is kept as the one differential-testing oracle, mirroring

@@ -32,8 +32,8 @@ import (
 // suiteRegex pins the gated benchmarks: the hot-path kernels (grid sample,
 // pixel diff, fill, meter observe), the tile pipeline against its naive
 // oracle (compose and compare, whose naive rows double as the comparison
-// baseline), the palette representation against raw tiles (blit and hash
-// rows), the memo snapshot encoder over raw and compressed sources, the
+// baseline), the palette representation against raw tiles (blit rows),
+// the memo snapshot encoder over raw and compressed sources, the
 // video frame as per-band fills and as one binned batch, the
 // event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
@@ -43,7 +43,7 @@ import (
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
-	`BenchmarkPaletteBlit|BenchmarkPaletteHash|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|` +
+	`BenchmarkPaletteBlit|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`

@@ -77,7 +77,7 @@ func main() {
 	flag.IntVar(&c.samples, "samples", 9216, "metering grid pixels")
 	flag.Float64Var(&c.faults, "faults", 0, "fault intensity injected into managed segments: scales the default fault plan (0 = off, 1 = reference chaos mix)")
 	flag.BoolVar(&c.hardened, "hardened", false, "enable governor fail-safe hardening on managed segments")
-	flag.BoolVar(&c.naivePix, "naive-pixels", false, "force the brute-force pixel pipeline (no tile signatures, palettes or state memo); results are byte-identical to the default path — this is the differential-testing oracle")
+	flag.BoolVar(&c.naivePix, "naive-pixels", false, "force the brute-force pixel pipeline (no tile tracking, palettes or state memo); results are byte-identical to the default path — this is the differential-testing oracle")
 	flag.BoolVar(&c.failFast, "fail-fast", false, "abort the campaign on the first device failure instead of aggregating the survivors")
 	flag.DurationVar(&c.timeout, "task-timeout", 0, "wall-clock budget per device simulation; a device exceeding it is reported failed (0 = unlimited)")
 	flag.StringVar(&c.specPath, "spec", "", "cohort specification JSON (see -write-spec for a template); explicit flags override its scalars")

@@ -185,11 +185,12 @@ func TestGoldenTraces(t *testing.T) {
 }
 
 // TestGoldenTracesTileVsNaive runs every golden app under both pixel
-// pipelines — tile signatures with damage-only composition (the default)
-// and the brute-force oracle (NaivePixels) — and diffs the decision-event
-// streams byte for byte. The tile path replaces pixel work with
-// generation tracking and hashes, so this is the end-to-end proof that
-// no governor decision, rate transition or lifetime total moved. The
+// pipelines — tile tracking with direct scanout, palette tiles and the
+// state memo (the default) and the brute-force oracle (NaivePixels) — and
+// diffs the decision-event streams byte for byte. The tile path replaces
+// pixel work with generation tracking and compressed tiles, so this is
+// the end-to-end proof that no governor decision, rate transition or
+// lifetime total moved. The
 // committed golden files additionally pin both paths to the pre-tile
 // decision history (TestGoldenTraces runs the default path against them).
 func TestGoldenTracesTileVsNaive(t *testing.T) {

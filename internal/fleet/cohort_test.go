@@ -43,7 +43,7 @@ func TestCohortDeterministicAcrossWorkers(t *testing.T) {
 }
 
 // TestCohortTileVsNaivePixels pins the fleet-level differential contract:
-// a campaign on the production pixel pipeline (tile signatures, palette
+// a campaign on the production pixel pipeline (tile tracking, palette
 // tiles and the app state memo — the default) produces byte-identical
 // per-device rows and aggregates to the same campaign on the brute-force
 // oracle pipeline, which has none of them, at 1, 2, 4 and 8 workers.

@@ -182,6 +182,9 @@ func (b *Buffer) CopyFrom(src *Buffer) {
 
 // Blit copies the srcRect portion of src to b at destination (dx, dy),
 // clipping against both buffers. It returns the number of pixels copied.
+// On a palette-enabled buffer at a tile-aligned offset the copy runs tile
+// by tile (see blitPal), so compressed source tiles land as index planes;
+// otherwise the destination region is realized and copied as raw rows.
 func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
 	srcRect = srcRect.Clamp(src.Bounds())
 	if srcRect.Empty() {
@@ -195,8 +198,12 @@ func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
 	sx := srcRect.X0 + (dst.X0 - dx)
 	sy := srcRect.Y0 + (dst.Y0 - dy)
 	b.own()
-	b.realizeRegion(dst)
-	b.copyRows(src, sx, sy, dst)
+	if t := b.tiles; t != nil && t.palOn && (dst.X0-sx)&tileMask == 0 && (dst.Y0-sy)&tileMask == 0 {
+		b.blitPal(src, sx, sy, dst)
+	} else {
+		b.realizeRegion(dst)
+		b.copyRows(src, sx, sy, dst)
+	}
 	b.touch(dst)
 	return dst.Area()
 }
@@ -235,33 +242,13 @@ func (b *Buffer) ScrollVert(r Rect, dy int) Rect {
 	return Rect{r.X0, r.Y1 + dy, r.X1, r.Y1}
 }
 
-// Equal reports whether b and o hold identical pixels. Buffers of different
-// dimensions are never equal.
-//
-// When both buffers track tiles, cached-valid signatures answer the
-// negative case first: a pair of tiles with differing signatures proves
-// the buffers differ without reading pixels (signatures are a pure
-// function of tile content, so this direction is exact). Tiles the
-// signature path cannot decide — equal or stale signatures — fall back
-// to the full pixel scan.
+// Equal reports whether b and o hold identical pixels, reading both sides
+// through their content representations. Buffers of different dimensions
+// are never equal.
 func (b *Buffer) Equal(o *Buffer) bool {
 	if b.w != o.w || b.h != o.h {
 		return false
 	}
-	if bt, ot := b.tiles, o.tiles; bt != nil && ot != nil && bt.cols == ot.cols {
-		for i := range bt.sig {
-			if bt.sigGen[i] == bt.tgen[i] && ot.sigGen[i] == ot.tgen[i] &&
-				bt.sig[i] != ot.sig[i] {
-				return false
-			}
-		}
-	}
-	return b.contentEqual(o)
-}
-
-// contentEqual is Equal's exhaustive fallback, reading both sides
-// through their content representations.
-func (b *Buffer) contentEqual(o *Buffer) bool {
 	rb, ro := b.repr(), o.repr()
 	bp := rb.tiles != nil && rb.tiles.palTiles > 0
 	op := ro.tiles != nil && ro.tiles.palTiles > 0

@@ -1,17 +1,14 @@
 package framebuffer
 
-import (
-	"bytes"
-	"encoding/binary"
-)
+import "encoding/binary"
 
 // Palette-compressed tiles: the *Surface Compression Using Dynamic Color
-// Palettes* idea (PAPERS.md), the companion of the tile-signature
-// rendering elimination in tile.go. Mobile UI surfaces are overwhelmingly
-// flat fills over a handful of colors, so a tile whose content fits a
-// small dynamic palette stores 4-bit indices plus a palette side table —
-// 512 bytes of indices instead of 4 KB of pixels — and every kernel that
-// streams tile bytes (blit, hash, compare, fill) touches 8× less memory.
+// Palettes* idea (PAPERS.md), kept on the tile grid of tile.go. Mobile UI
+// surfaces are overwhelmingly flat fills over a handful of colors, so a
+// tile whose content fits a small dynamic palette stores 4-bit indices
+// plus a palette side table — 512 bytes of indices instead of 4 KB of
+// pixels — and every kernel that streams tile bytes (blit, compare,
+// fill, snapshot) touches 8× less memory.
 //
 // Representation contract. Palette compression is a pure representation
 // change, invisible in content:
@@ -19,21 +16,17 @@ import (
 //   - When palN[i] > 0, tile i's content is DEFINED by (plane, pal) and
 //     the pixel array is stale under it. When palN[i] == 0 the pixel
 //     array is authoritative, exactly as before.
-//   - Signatures stay a pure function of content: hashTilePal hashes the
-//     DECODED colors, bit-identical to the raw hash, so Equal's
-//     "differing signatures imply differing bytes" direction keeps
-//     holding across mixed representations.
 //   - Promotion back to raw is transparent: palette overflow on a
-//     partial write, or a raw kernel (Blit, ScrollVert) landing on a
-//     compressed tile, realizes the tile into the pixel array first.
-//     A fill covering a whole tile resets it to a fresh one-color
-//     palette, so flat UI churns between solid palettes, not raw.
+//     partial write, or a raw kernel (ScrollVert, a misaligned or
+//     partial-tile Blit) landing on a compressed tile, realizes the tile
+//     into the pixel array first. A fill covering a whole tile resets it
+//     to a fresh one-color palette, so flat UI churns between solid
+//     palettes, not raw.
 //
 // Readers must be representation-aware AND sharing-aware: a copy-on-write
 // view's content lives on its shared source (which may be compressed, or
-// even compacted with no pixel array at all), while generations and
-// signature caches stay on the view's own tile set. repr() picks the
-// content side of that split.
+// a snapshot with no pixel array at all), while generations stay on the
+// view's own tile set. repr() picks the content side of that split.
 
 const (
 	// PaletteCap is the maximum palette size of a compressed tile: 4-bit
@@ -48,8 +41,8 @@ const (
 
 // repr returns the buffer holding b's content representation: the shared
 // source while b is a copy-on-write view, b itself otherwise. Content
-// (pixels, palettes) is read from repr(); generations and signature
-// caches are read from b's own tile set.
+// (pixels, palettes) is read from repr(); generations are read from b's
+// own tile set.
 func (b *Buffer) repr() *Buffer {
 	if b.shared != nil {
 		return b.shared
@@ -215,8 +208,8 @@ func (b *Buffer) readRow(out []Color, x, y, n int) {
 
 // realizeTile decodes compressed tile i back into the raw pixel array
 // and drops its palette — the promotion path taken on palette overflow
-// and under raw-kernel writes. Content is unchanged, so generations and
-// cached signatures stay valid. b must be materialized.
+// and under raw-kernel writes. Content is unchanged, so generations stay
+// valid. b must be materialized.
 func (b *Buffer) realizeTile(i int) {
 	t := b.tiles
 	r := b.TileRect(i)
@@ -250,8 +243,8 @@ func (b *Buffer) realizeRegion(r Rect) {
 	}
 }
 
-// realizeAll realizes every compressed tile, reallocating the pixel
-// array if it was dropped by Compact.
+// realizeAll realizes every compressed tile, allocating the pixel array
+// of a snapshot, which has none (see NewPaletteSnapshot).
 func (b *Buffer) realizeAll() {
 	t := b.tiles
 	if t == nil || t.palTiles == 0 {
@@ -538,144 +531,76 @@ func (b *Buffer) copyAllFrom(src *Buffer) {
 	}
 }
 
-// hashTilePal computes compressed tile i's signature. The hash runs over
-// the DECODED colors — bit-identical to the raw hash — because Equal and
-// BlitTiled rely on signatures being a pure function of content,
-// independent of representation. The win is memory traffic (512 bytes of
-// indices plus the palette instead of 4 KB of pixels) and a one-entry
-// memo for full solid tiles, the overwhelmingly common case on flat UI.
-// rt is the representation tile set; the memo lives on b's own tile set
-// (views must not write their shared source's caches).
-func (b *Buffer) hashTilePal(rt *tileSet, i int, r Rect) uint64 {
-	pal := rt.tilePal(i)
-	if rt.palN[i] == 1 && r.Dx() == TileSize && r.Dy() == TileSize {
-		t := b.tiles
-		if t.solidOK && t.solidC == pal[0] {
-			return t.solidSig
-		}
-		h := uint64(0xcbf29ce484222325)
-		c := uint64(pal[0])
-		for k := 0; k < tilePixels; k++ {
-			h = (h ^ c) * 0x100000001b3
-		}
-		t.solidC, t.solidSig, t.solidOK = pal[0], h, true
-		return h
-	}
-	plane := rt.tilePlane(i)
-	h := uint64(0xcbf29ce484222325)
-	for y := r.Y0; y < r.Y1; y++ {
-		np := (y&tileMask)<<TileShift + r.X0&tileMask
-		for x := r.X0; x < r.X1; x++ {
-			h = (h ^ uint64(pal[plane[np>>1]>>(uint(np&1)*4)&0xF])) * 0x100000001b3
-			np++
-		}
-	}
-	return h
-}
-
-// tileContentEqual reports whether b's full tile di (rect tr) holds
-// exactly src's full tile si (rect sr); both rects cover whole in-bounds
-// 32×32 tiles. Two compressed tiles with identical palettes compare
-// their 512-byte index planes — exact in both directions, since palette
-// entries within a tile are distinct — which is the 8× cheaper common
-// case on BlitTiled's verify path. Mixed or palette-order-skewed tiles
-// decode-compare.
-func (b *Buffer) tileContentEqual(src *Buffer, si, di int, sr, tr Rect) bool {
-	rb, rs := b.repr(), src.repr()
-	bt, st := rb.tiles, rs.tiles
-	bp := bt != nil && bt.palTiles > 0 && bt.palN[di] > 0
-	sp := st != nil && st.palTiles > 0 && st.palN[si] > 0
-	if !bp && !sp {
-		return rb.rowsEqual(rs, sr, tr)
-	}
-	if bp && sp {
-		nb, ns := bt.palN[di], st.palN[si]
-		if nb == 1 && ns == 1 {
-			return bt.tilePal(di)[0] == st.tilePal(si)[0]
-		}
-		if nb == ns && firstDiff(bt.tilePal(di)[:nb], st.tilePal(si)[:ns]) < 0 {
-			return bytes.Equal(bt.tilePlane(di), st.tilePlane(si))
-		}
-	}
-	for y := 0; y < tr.Dy(); y++ {
-		for x := 0; x < tr.Dx(); x++ {
-			if rb.colorAt(tr.X0+x, tr.Y0+y) != rs.colorAt(sr.X0+x, sr.Y0+y) {
-				return false
+// blitPal is Blit's kernel for a palette-enabled buffer at a tile-aligned
+// offset: src's (sx, sy) lands on dst's corner, both clipped, and dst
+// minus (sx, sy) is a multiple of the tile size. Each tile that dst covers
+// whole takes copyTile; a partly covered tile is realized and takes raw
+// rows. b must be materialized.
+func (b *Buffer) blitPal(src *Buffer, sx, sy int, dst Rect) {
+	t := b.tiles
+	ox, oy := dst.X0-sx, dst.Y0-sy
+	for ty := dst.Y0 >> TileShift; ty <= (dst.Y1-1)>>TileShift; ty++ {
+		for tx := dst.X0 >> TileShift; tx <= (dst.X1-1)>>TileShift; tx++ {
+			i := ty*t.cols + tx
+			tr := Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}
+			clip := tr.Intersect(dst)
+			if clip == tr {
+				b.copyTile(src, tr.X0-ox, tr.Y0-oy, i, tr)
+				continue
 			}
+			if t.palN[i] > 0 {
+				b.realizeTile(i)
+			}
+			b.copyRows(src, clip.X0-ox, clip.Y0-oy, clip)
 		}
 	}
-	return true
 }
 
-// copyTile copies src's full tile si into b's full tile di (both rects
-// whole in-bounds 32×32 tiles). A compressed source tile lands as a
-// 512-byte plane + palette copy when b holds palettes — 8× fewer bytes
-// than the pixel copy; other combinations fall back to raw rows.
-func (b *Buffer) copyTile(src *Buffer, si, di int, sr, tr Rect) {
-	rs := src.repr()
-	st := rs.tiles
-	bt := b.tiles
-	sp := st != nil && st.palTiles > 0 && st.palN[si] > 0
-	if sp && bt.palOn {
-		if bt.palN[di] == 0 {
-			bt.palTiles++
+// copyTile copies the whole source tile at (sx, sy) into b's whole tile i
+// (rect tr). A compressed source tile lands as its 512-byte index plane
+// and palette, 8× fewer bytes than the pixel copy; a raw one drops tile
+// i's palette without decoding it, since every pixel is overwritten, and
+// takes raw rows.
+func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
+	t := b.tiles
+	if st := src.repr().tiles; st != nil && st.palTiles > 0 {
+		if si := (sy>>TileShift)*st.cols + sx>>TileShift; st.palN[si] > 0 {
+			if t.palN[i] == 0 {
+				t.palTiles++
+			}
+			t.palN[i] = st.palN[si]
+			copy(t.tilePlane(i), st.tilePlane(si))
+			copy(t.tilePal(i), st.tilePal(si))
+			return
 		}
-		bt.palN[di] = st.palN[si]
-		copy(bt.tilePlane(di), st.tilePlane(si))
-		copy(bt.tilePal(di), st.tilePal(si))
-		return
 	}
-	if bt.palN != nil && bt.palN[di] > 0 {
-		// Fully overwritten with raw content: drop the palette, no decode.
-		bt.palN[di] = 0
-		bt.palTiles--
+	if t.palN[i] > 0 {
+		t.palN[i] = 0
+		t.palTiles--
 	}
-	if sp {
-		plane, pal := st.tilePlane(si), st.tilePal(si)
-		for y := 0; y < tr.Dy(); y++ {
-			decodeRun(plane, pal, ((sr.Y0+y)&tileMask)<<TileShift+sr.X0&tileMask,
-				b.pix[(tr.Y0+y)*b.w+tr.X0:(tr.Y0+y)*b.w+tr.X1])
-		}
-		return
-	}
-	b.copyRows(src, sr.X0, sr.Y0, tr)
+	b.copyRows(src, sx, sy, tr)
 }
 
 // EncodeAll palette-compresses every raw tile whose content fits
-// PaletteCap colors and reports whether every tile ended up compressed
-// (the precondition for Compact).
-func (b *Buffer) EncodeAll() bool {
+// PaletteCap colors; the others stay raw.
+func (b *Buffer) EncodeAll() {
 	b.own()
 	t := b.tiles
 	if t == nil || !t.palOn {
-		return false
+		return
 	}
-	all := true
 	for i := range t.palN {
 		if t.palN[i] > 0 {
 			continue
 		}
-		if !b.encodeTile(i) {
-			all = false
+		plane := t.tilePlane(i)
+		clear(plane) // encodeRows writes into a zeroed plane
+		p := snapPal{pal: t.tilePal(i)}
+		if p.encodeRows(plane, b.pix, b.w, b.TileRect(i)) {
+			t.palN[i] = uint8(p.n)
+			t.palTiles++
 		}
 	}
-	return all
-}
-
-// encodeTile attempts to palette-compress raw tile i from its pixels,
-// returning false (tile left raw) when the content needs more than
-// PaletteCap colors. b must be materialized and palette-enabled.
-func (b *Buffer) encodeTile(i int) bool {
-	t := b.tiles
-	plane := t.tilePlane(i)
-	clear(plane) // encodeRows writes into a zeroed plane
-	p := snapPal{pal: t.tilePal(i)}
-	if !p.encodeRows(plane, b.pix, b.w, b.TileRect(i)) {
-		return false
-	}
-	t.palN[i] = uint8(p.n)
-	t.palTiles++
-	return true
 }
 
 // Recycle returns a parked buffer to the blank content New would hand
@@ -683,8 +608,7 @@ func (b *Buffer) encodeTile(i int) bool {
 // frame composes — the same bytes whether a free pool gave it fresh or
 // recycled buffers. Any copy-on-write view is dropped without
 // materializing, the promotion counter restarts, and every tile is
-// touched so cached signatures never describe the previous owner's
-// content.
+// touched, since its content changed.
 //
 // On a palette-enabled buffer the blanking stays in the palette domain:
 // every tile becomes a solid one-color palette of zero, so the hand-off
@@ -718,7 +642,6 @@ func (b *Buffer) Recycle() {
 		}
 		t.palTiles = t.cols * t.rows
 		t.promotions = 0
-		t.solidOK = false
 		b.touchAll()
 		return
 	}
@@ -730,24 +653,11 @@ func (b *Buffer) Recycle() {
 	}
 }
 
-// Compact drops the raw pixel array of a fully compressed, unshared
-// buffer (~8× less memory per memoized screen). It reports whether the
-// compaction happened; a compacted buffer serves all reads through the
-// palette machinery, and Pix/realizeAll reallocate on demand.
-func (b *Buffer) Compact() bool {
-	t := b.tiles
-	if b.shared != nil || t == nil || !t.palOn || t.palTiles != t.cols*t.rows {
-		return false
-	}
-	b.pix = nil
-	return true
-}
-
-// NewPaletteSnapshot builds a compacted palette-compressed copy of src's
-// current content (read through src's representation) without ever
-// allocating a raw pixel array — the storage behind the app layer's
-// memoized screens (~0.55 MB instead of ~3.7 MB at 720×1280). It returns
-// nil when any tile needs more than PaletteCap colors.
+// NewPaletteSnapshot builds a palette-compressed copy of src's current
+// content (read through src's representation) without ever allocating a
+// raw pixel array — the storage behind the app layer's memoized screens
+// (~0.55 MB instead of ~3.7 MB at 720×1280). It returns nil when any
+// tile needs more than PaletteCap colors.
 //
 // The bytes are a function of content alone: each tile lists its colors
 // in first-occurrence (row-major) order, and unused palette entries and

@@ -15,12 +15,11 @@ func feedPaint(buf *Buffer) {
 	}
 }
 
-// BenchmarkPaletteBlit measures full-screen tiled composition of
-// alternating app screens — the memo-hit shape, where every tile's
-// signature mismatches and the whole frame must be copied — on the
-// palette representation against the raw-tile oracle. The palette rows
-// move each tile as a 512-byte index plane plus its side table; the raw
-// rows move 4 KB of pixels per tile.
+// BenchmarkPaletteBlit measures full-screen composition of alternating
+// app screens — the memo-hit shape, where every tile differs and the
+// whole frame is copied — with Blit on the palette representation
+// against raw tiles. The palette rows move each tile as a 512-byte index
+// plane plus its side table; the raw rows move 4 KB of pixels per tile.
 func BenchmarkPaletteBlit(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -49,51 +48,12 @@ func BenchmarkPaletteBlit(b *testing.B) {
 			if bc.palette {
 				dst.EnablePalettes()
 			}
-			dst.BlitTiled(screens[0], screens[0].Bounds(), 0, 0, ComposeGens{})
+			dst.Blit(screens[0], screens[0].Bounds(), 0, 0)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := screens[(i+1)&1]
-				dst.BlitTiled(src, src.Bounds(), 0, 0, ComposeGens{})
-			}
-		})
-	}
-}
-
-// BenchmarkPaletteHash measures full-frame signature computation — every
-// tile touched, every tile rehashed — on the palette representation
-// against the raw oracle. The palette row hashes by decoding nibble runs
-// through the side table (canonical signatures: identical to hashing the
-// decoded pixels); the raw row hashes the pixel array directly.
-func BenchmarkPaletteHash(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		palette bool
-	}{{"palette", true}, {"raw", false}} {
-		b.Run(bc.name, func(b *testing.B) {
-			buf := New(720, 1280)
-			buf.EnableTiles()
-			if bc.palette {
-				buf.EnablePalettes()
-			}
-			feedPaint(buf)
-			tiles := buf.Tiles()
-			// Two alternating touch colors stay within each tile's
-			// palette headroom, so touching never promotes a tile.
-			touch := [2]Color{RGB(250, 250, 250), RGB(5, 5, 5)}
-			var sink uint64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c := touch[i&1]
-				for ti := 0; ti < tiles; ti++ {
-					r := buf.TileRect(ti)
-					buf.Set(r.X0, r.Y0, c)
-					sink ^= buf.TileSig(ti)
-				}
-			}
-			if sink == 42 {
-				b.Log(sink) // defeat dead-code elimination
+				dst.Blit(src, src.Bounds(), 0, 0)
 			}
 		})
 	}

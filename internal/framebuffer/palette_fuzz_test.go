@@ -8,14 +8,15 @@ import (
 // FuzzPaletteCompare differentially tests the palette-compressed tile
 // representation against the raw tile pipeline: the same mutation stream
 // — fills from a narrow palette, wide-color fills that force promotion,
-// FillRects batches, single stores, scrolls, blits — drives a palette
-// buffer and a raw-tile buffer in lockstep, and after every operation the
-// two must agree on every read path: At, Equal, DiffPixels, per-tile
-// signatures, grid sampling and mean luminance. Snapshot/share
-// round-trips (EncodeAll, Compact, NewPaletteSnapshot, ShareFromDamage)
-// are interleaved as content-preserving no-ops. Any divergence means a
-// nibble kernel, binned fill, promotion edge or copy-on-write path
-// changed visible bytes.
+// FillRects batches, single stores, scrolls, blits from raw and from
+// compressed sources at random and tile-aligned offsets — drives a
+// palette buffer and a raw-tile buffer in lockstep, and after every
+// operation the two must agree on every read path: At, Equal,
+// DiffPixels, grid sampling and mean luminance. Snapshot/share
+// round-trips (EncodeAll, NewPaletteSnapshot, ShareFromDamage) are
+// interleaved as content-preserving no-ops. Any divergence means a
+// nibble kernel, binned fill, plane copy, promotion edge or
+// copy-on-write path changed visible bytes.
 func FuzzPaletteCompare(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 2, 3, 9}, uint8(64), uint8(64))
 	f.Add(int64(2), []byte{2, 2, 2, 2, 2, 2, 9, 6}, uint8(33), uint8(47)) // wide fills: promotion pressure
@@ -38,11 +39,14 @@ func FuzzPaletteCompare(f *testing.F) {
 		rb := New(w, h)
 		rb.EnableTiles()
 
-		// Blit source with raw random content.
+		// Blit sources: raw random content, a compressed palette screen,
+		// and the latest op-7 snapshot while there is one.
 		aux := New(w, h)
 		for i := range aux.Pix() {
 			aux.Pix()[i] = Color(rng.Uint32() & 0x00ffffff)
 		}
+		paux := narrowScreen(rng, w, h)
+		var snap *Buffer
 		// A narrow color set keeps tiles palettized; wide colors overflow
 		// PaletteCap and exercise promotion.
 		narrow := [5]Color{RGB(10, 10, 10), RGB(200, 30, 30), RGB(30, 200, 30), RGB(30, 30, 200), RGB(240, 240, 240)}
@@ -70,12 +74,6 @@ func FuzzPaletteCompare(f *testing.F) {
 					if pb.At(x, y) != rb.At(x, y) {
 						t.Fatalf("step %d: At(%d,%d) palette=%08x raw=%08x", step, x, y, pb.At(x, y), rb.At(x, y))
 					}
-				}
-			}
-			for i := 0; i < pb.Tiles(); i++ {
-				if ps, rs := pb.TileSig(i), rb.TileSig(i); ps != rs {
-					t.Fatalf("step %d: tile %d sig palette=%016x raw=%016x (sigs must be canonical over decoded colors)",
-						step, i, ps, rs)
 				}
 			}
 			grid.Sample(pb, sp)
@@ -119,16 +117,26 @@ func FuzzPaletteCompare(f *testing.F) {
 				if rp, rr := pb.ScrollVert(r, dy), rb.ScrollVert(r, dy); rp != rr {
 					t.Fatalf("step %d: ScrollVert repaint palette=%v raw=%v", step, rp, rr)
 				}
-			case 5: // blit raw content over palettized tiles
-				srcR := randRect().Clamp(aux.Bounds())
+			case 5: // blit raw or compressed content, half the time tile-aligned (plane copies)
+				src := aux
+				if rng.Intn(2) == 0 {
+					src = paux
+					if snap != nil && rng.Intn(2) == 0 {
+						src = snap
+					}
+				}
+				srcR := randRect().Clamp(src.Bounds())
 				dx, dy := rng.Intn(w+10)-5, rng.Intn(h+10)-5
-				if np, nr := pb.Blit(aux, srcR, dx, dy), rb.Blit(aux, srcR, dx, dy); np != nr {
+				if rng.Intn(2) == 0 {
+					dx, dy = srcR.X0+(rng.Intn(5)-2)*TileSize, srcR.Y0+(rng.Intn(5)-2)*TileSize
+				}
+				if np, nr := pb.Blit(src, srcR, dx, dy), rb.Blit(src, srcR, dx, dy); np != nr {
 					t.Fatalf("step %d: Blit count palette=%d raw=%d", step, np, nr)
 				}
 			case 6: // re-encode is content-preserving
 				pb.EncodeAll()
-			case 7: // snapshot + compact + share round-trip must reproduce the content
-				snap := NewPaletteSnapshot(pb)
+			case 7: // snapshot + share round-trip must reproduce the content
+				snap = NewPaletteSnapshot(pb)
 				if snap == nil {
 					break
 				}
@@ -139,11 +147,6 @@ func FuzzPaletteCompare(f *testing.F) {
 				view.ShareFromDamage(snap, []Rect{view.Bounds()})
 				if !view.Equal(rb) {
 					t.Fatalf("step %d: snapshot/share view diverges from raw reference", step)
-				}
-				for i := 0; i < view.Tiles(); i++ {
-					if vs, rs := view.TileSig(i), rb.TileSig(i); vs != rs {
-						t.Fatalf("step %d: shared view tile %d sig %016x, raw %016x", step, i, vs, rs)
-					}
 				}
 			case 8: // a FillRects batch: bands, overlaps, off-screen rects, >16 colors in a tile
 				batch, batchColors = randFillBatch(rng, w, h, narrow[:], batch[:0], batchColors[:0])

@@ -3,26 +3,12 @@ package framebuffer
 import "fmt"
 
 // Tile layer: a fixed 32×32 grid over a buffer with per-tile mutation
-// generations and lazily cached 64-bit content signatures. This is the
-// *Rendering Elimination* idea (early discard of redundant tiles via
-// region signatures) applied to the reproduction's paint/compare
-// pipeline: composition can skip tiles whose content provably did not
-// change, and the meter can restrict grid comparison to tiles written
-// since its last observation.
-//
-// Exactness contract. Two independent mechanisms are used, with
-// different proof obligations:
-//
-//   - Generations are exact in the negative direction: every mutator
-//     marks the tiles it writes, so a tile whose generation is unchanged
-//     is bitwise unchanged. No hashing is involved.
-//   - Signatures are exact in the positive direction: the signature is a
-//     pure function of the tile's pixels, so differing signatures imply
-//     differing bytes. Equal signatures prove nothing (collisions); any
-//     decision based on signature equality must be confirmed by a pixel
-//     comparison (BlitTiled's memcmp verify, Equal's full-scan
-//     fallback). A tile the signature path cannot decide falls back to
-//     the brute-force pixel kernels.
+// generations. Every mutator marks the tiles it writes, so a tile whose
+// generation is unchanged is bitwise unchanged. The converse does not
+// hold: a mutator may mark a tile its rect barely grazes. The meter uses
+// this to restrict its grid comparison to tiles written since its last
+// observation (DeltaCompare), and palette compression (palette.go)
+// keeps its per-tile state on the same grid.
 //
 // Tracking is opt-in per buffer (EnableTiles); untracked buffers pay
 // nothing.
@@ -47,11 +33,6 @@ type tileSet struct {
 	// moment the buffer's generation was G.
 	gen  uint64
 	tgen []uint64
-	// sig[i] caches the 64-bit content signature of tile i, valid while
-	// sigGen[i] == tgen[i] (i.e. the tile has not been written since the
-	// hash was taken). Signatures are computed lazily on first use.
-	sig    []uint64
-	sigGen []uint64
 
 	// Palette compression state (see palette.go). palOn gates the
 	// machinery; while palN[i] > 0 tile i's content is defined by its
@@ -64,13 +45,6 @@ type tileSet struct {
 	// promotions counts pal → raw realizations (palette overflow and
 	// raw-kernel writes over compressed tiles).
 	promotions uint64
-	// One-entry signature memo for full single-color tiles: the FNV of
-	// 1024 equal words is a pure function of the color, and solid tiles
-	// dominate flat UI. Lives on the hashing buffer's own tile set, never
-	// on a shared source (views must not write their source's caches).
-	solidC   Color
-	solidSig uint64
-	solidOK  bool
 	// FillRects bins (see fillBinned), reused across batches: each tile's
 	// bin size, zero between batches; the touched tiles in first-touch
 	// order; and their runs of rect indices, back to back.
@@ -82,20 +56,13 @@ type tileSet struct {
 // EnableTiles turns on tile tracking for b. It is idempotent; dimensions
 // are fixed at the buffer's, so pooled buffers keep their tracking state
 // across reuse. Buffers start with every tile marked written at
-// generation 1 and no cached signatures.
+// generation 1.
 func (b *Buffer) EnableTiles() {
 	if b.tiles != nil {
 		return
 	}
 	cols, rows := tilesFor(b.w), tilesFor(b.h)
-	n := cols * rows
-	t := &tileSet{
-		cols: cols, rows: rows,
-		gen:    1,
-		tgen:   make([]uint64, n),
-		sig:    make([]uint64, n),
-		sigGen: make([]uint64, n),
-	}
+	t := &tileSet{cols: cols, rows: rows, gen: 1, tgen: make([]uint64, cols*rows)}
 	for i := range t.tgen {
 		t.tgen[i] = 1
 	}
@@ -140,52 +107,6 @@ func (b *Buffer) TileRect(i int) Rect {
 	tx, ty := i%t.cols, i/t.cols
 	return Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}.
 		Clamp(b.Bounds())
-}
-
-// TileSig returns tile i's 64-bit content signature, computing and
-// caching it when the cache is stale. The signature is a pure function
-// of the tile's pixels (FNV-1a over the pixel words), so differing
-// signatures prove differing content; equal signatures prove nothing.
-func (b *Buffer) TileSig(i int) uint64 {
-	t := b.tiles
-	if t.sigGen[i] == t.tgen[i] {
-		return t.sig[i]
-	}
-	s := b.hashTile(i)
-	t.sig[i] = s
-	t.sigGen[i] = t.tgen[i]
-	return s
-}
-
-// hashTile computes tile i's signature from its current content. The
-// content is read through the representation (shared source, palette
-// decode), so the signature is identical whatever form the tile is
-// stored in — Equal and BlitTiled depend on that purity.
-func (b *Buffer) hashTile(i int) uint64 {
-	rb := b.repr()
-	r := b.TileRect(i)
-	if rt := rb.tiles; rt != nil && rt.palTiles > 0 && rt.palN[i] > 0 {
-		return b.hashTilePal(rt, i, r)
-	}
-	h := uint64(0xcbf29ce484222325)
-	for y := r.Y0; y < r.Y1; y++ {
-		row := rb.pix[y*rb.w+r.X0 : y*rb.w+r.X1]
-		for _, c := range row {
-			h = (h ^ uint64(c)) * 0x100000001b3
-		}
-	}
-	return h
-}
-
-// PoisonTileSig overwrites tile i's cached signature with v and marks
-// the cache valid — a test-only hook for forcing signature collisions
-// (two differing tiles reporting equal signatures), proving the pixel
-// verify keeps results exact. It must never be used to make equal tiles
-// report *differing* signatures; that direction is trusted.
-func (b *Buffer) PoisonTileSig(i int, v uint64) {
-	t := b.tiles
-	t.sig[i] = v
-	t.sigGen[i] = t.tgen[i]
 }
 
 // touch marks every tile overlapping r as written at a fresh generation.
@@ -250,8 +171,7 @@ func (b *Buffer) own() {
 // screens, which are written once and then only ever read.
 //
 // Sharing counts as a whole-buffer mutation for tile tracking (the
-// visible content changes entirely), so generations and cached
-// signatures stay conservative.
+// visible content changes entirely), so generations stay conservative.
 func (b *Buffer) ShareFrom(src *Buffer) {
 	if b.w != src.w || b.h != src.h {
 		panic(fmt.Sprintf("framebuffer: ShareFrom size mismatch %dx%d vs %dx%d", b.w, b.h, src.w, src.h))
@@ -273,115 +193,6 @@ func (b *Buffer) ShareFrom(src *Buffer) {
 // Shared reports whether b is currently a copy-on-write view.
 func (b *Buffer) Shared() bool { return b.shared != nil }
 
-// ComposeGens is a compositor's per-surface snapshot of (source buffer
-// generation, destination buffer generation) taken at the end of a
-// compose pass. BlitTiled uses it for the exact generation skip: a tile
-// whose source and destination are both unchanged since the snapshot
-// still holds the previously composed bytes, so re-composing it would
-// write identical bytes. The zero value disables the skip (nothing has
-// been composed yet).
-//
-// The skip is exact under two conditions the caller must guarantee:
-//
-//   - the surface.Client damage contract: reported damage covers every
-//     pixel changed since the previous render (the brute-force compositor
-//     relies on the same contract — unreported changes never reach the
-//     framebuffer on either path), and
-//   - sole writership: no other source composes into the destination
-//     between this pair's composes. A foreign write later partially
-//     overwritten leaves a tile whose generations look settled but whose
-//     bytes mix two sources; the compositor therefore passes the zero
-//     value whenever more than one surface is registered, falling back
-//     to the signature + pixel-verify ladder (exact without induction).
-type ComposeGens struct {
-	Src, Dst uint64
-}
-
-// BlitTiled is the tile-aware variant of Blit: identical bytes in the
-// destination, same return value (the clipped destination area — the
-// dirty-pixel accounting must not depend on skips), but tiles that
-// provably hold the right content already are not rewritten.
-//
-// Decision ladder per destination tile, cheapest first:
-//
-//  1. generation skip — src and dst tile unchanged since prev (exact),
-//  2. signature mismatch — differing sigs force the copy (exact),
-//  3. equal signatures — possible collision: a pixel compare decides;
-//     equal bytes skip the write, differing bytes (a forced or real
-//     collision) copy.
-//
-// Tiles the signature path cannot decide — partial-tile damage, buffers
-// without tracking, or a tile-misaligned source offset — take the plain
-// pixel copy. When either buffer is untracked the whole call degrades to
-// Blit's behaviour.
-func (b *Buffer) BlitTiled(src *Buffer, srcRect Rect, dx, dy int, prev ComposeGens) int {
-	srcRect = srcRect.Clamp(src.Bounds())
-	if srcRect.Empty() {
-		return 0
-	}
-	dst := Rect{dx, dy, dx + srcRect.Dx(), dy + srcRect.Dy()}.Clamp(b.Bounds())
-	if dst.Empty() {
-		return 0
-	}
-	sx := srcRect.X0 + (dst.X0 - dx)
-	sy := srcRect.Y0 + (dst.Y0 - dy)
-	ox, oy := dst.X0-sx, dst.Y0-sy // dst = src + (ox, oy)
-	if b.tiles == nil || src.tiles == nil || (ox&tileMask) != 0 || (oy&tileMask) != 0 {
-		// Untracked or tile-misaligned: brute-force copy. The raw row
-		// copy needs an authoritative pixel array under the whole
-		// destination, exactly like Blit.
-		b.own()
-		b.realizeRegion(dst)
-		b.copyRows(src, sx, sy, dst)
-		b.touch(dst)
-		return dst.Area()
-	}
-	b.own()
-	bt, st := b.tiles, src.tiles
-	bt.gen++
-	g := bt.gen
-	for ty := dst.Y0 >> TileShift; ty <= (dst.Y1-1)>>TileShift; ty++ {
-		for tx := dst.X0 >> TileShift; tx <= (dst.X1-1)>>TileShift; tx++ {
-			tr := Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}
-			clip := tr.Intersect(dst)
-			di := ty*bt.cols + tx
-			// The fast paths need the whole 32×32 tile: fully inside the
-			// destination damage, fully on screen, and backed by a full
-			// source tile.
-			sr := Rect{tr.X0 - ox, tr.Y0 - oy, tr.X1 - ox, tr.Y1 - oy}
-			if clip == tr && tr.X1 <= b.w && tr.Y1 <= b.h &&
-				sr.X0 >= 0 && sr.Y0 >= 0 && sr.X1 <= src.w && sr.Y1 <= src.h {
-				si := (sr.Y0>>TileShift)*st.cols + sr.X0>>TileShift
-				if st.tgen[si] <= prev.Src && bt.tgen[di] < g && bt.tgen[di] <= prev.Dst {
-					continue // generation skip: both sides unchanged since last compose
-				}
-				if b.TileSig(di) == src.TileSig(si) && b.tileContentEqual(src, si, di, sr, tr) {
-					continue // verified identical content: skip the write
-				}
-				b.copyTile(src, si, di, sr, tr)
-				bt.tgen[di] = g
-				// The copy made the tiles byte-identical, and the ladder
-				// above just validated the source's signature cache, so the
-				// destination inherits it: the next compose of this pair
-				// compares two cached words instead of rehashing 4 KB.
-				if st.sigGen[si] == st.tgen[si] {
-					bt.sig[di] = st.sig[si]
-					bt.sigGen[di] = g
-				}
-				continue
-			}
-			if bt.palN != nil && bt.palN[di] > 0 {
-				// Partial overwrite of a compressed destination tile: the
-				// raw row copy below needs an authoritative pixel array.
-				b.realizeTile(di)
-			}
-			b.copyRows(src, clip.X0-ox, clip.Y0-oy, clip)
-			bt.tgen[di] = g
-		}
-	}
-	return dst.Area()
-}
-
 // copyRows copies src rows starting at (sx, sy) into b's dst rectangle,
 // decoding compressed source tiles. The caller has already clipped both
 // sides, materialized b, and realized any compressed destination tiles
@@ -399,19 +210,6 @@ func (b *Buffer) copyRows(src *Buffer, sx, sy int, dst Rect) {
 	for y := 0; y < dst.Dy(); y++ {
 		rs.readRow(b.pix[(dst.Y0+y)*b.w+dst.X0:(dst.Y0+y)*b.w+dst.X1], sx, sy+y, dst.Dx())
 	}
-}
-
-// rowsEqual reports whether b's rectangle br holds exactly src's
-// rectangle sr (same dimensions, compared row by row).
-func (b *Buffer) rowsEqual(src *Buffer, sr, br Rect) bool {
-	for y := 0; y < br.Dy(); y++ {
-		srow := src.pix[(sr.Y0+y)*src.w+sr.X0 : (sr.Y0+y)*src.w+sr.X1]
-		brow := b.pix[(br.Y0+y)*b.w+br.X0 : (br.Y0+y)*b.w+br.X1]
-		if firstDiff(brow, srow) >= 0 {
-			return false
-		}
-	}
-	return true
 }
 
 // TileLattice groups a comparison Grid's lattice points by the 32×32

@@ -68,34 +68,6 @@ func noisyBuffer(rng *rand.Rand, w, h int) *Buffer {
 	return b
 }
 
-// TestTileSigIncrementalEqualsFullRehash is the core signature property:
-// after an arbitrary sequence of damage-rect mutations — with signature
-// caches populated at arbitrary intermediate points — every cached
-// signature equals a from-scratch rehash of the tile's current pixels.
-// Buffer sizes include non-multiples of 32 so edge tiles are partial.
-func TestTileSigIncrementalEqualsFullRehash(t *testing.T) {
-	for _, dims := range [][2]int{{64, 64}, {33, 47}, {96, 130}, {31, 31}} {
-		w, h := dims[0], dims[1]
-		rng := rand.New(rand.NewSource(int64(w*1000 + h)))
-		buf := noisyBuffer(rng, w, h)
-		buf.EnableTiles()
-		aux := noisyBuffer(rng, w, h)
-		for step := 0; step < 200; step++ {
-			mutate(rng, buf, nil, aux)
-			// Populate some signature caches mid-sequence so later
-			// mutations must correctly invalidate them.
-			if step%3 == 0 {
-				buf.TileSig(rng.Intn(buf.Tiles()))
-			}
-		}
-		for i := 0; i < buf.Tiles(); i++ {
-			if got, want := buf.TileSig(i), buf.hashTile(i); got != want {
-				t.Fatalf("%dx%d tile %d: cached sig %#x != full rehash %#x", w, h, i, got, want)
-			}
-		}
-	}
-}
-
 // TestTileTrackedMutatorsMatchUntracked pins that enabling tile tracking
 // never changes pixel semantics: the same mutation sequence applied to a
 // tracked and an untracked buffer yields identical bytes and identical
@@ -183,21 +155,39 @@ func TestTileTouchEdgeRects(t *testing.T) {
 				t.Fatalf("%dx%d after rect %v: tracked pixels diverge", w, h, r)
 			}
 		}
-		// BlitTiled must clamp the same rects identically (untracked src
-		// forces the fallback; tracked src takes the tile ladder).
-		for _, sb := range []*Buffer{src, func() *Buffer { s := New(w, h); s.CopyFrom(src); s.EnableTiles(); return s }()} {
+		// A palette destination must clamp the same rects identically,
+		// at tile-aligned offsets (tile by tile) and misaligned ones (raw
+		// rows), from a raw source and from a compressed one.
+		pal := New(w, h)
+		pal.EnablePalettes()
+		pal.CopyFrom(plain)
+		for _, sb := range []*Buffer{src, narrowScreen(rng, w, h)} {
 			for _, r := range edgeRects {
-				want := plain.Blit(sb, r, r.X0+1, r.Y0)
-				got := tracked.BlitTiled(sb, r, r.X0+1, r.Y0, ComposeGens{})
-				if got != want {
-					t.Fatalf("%dx%d BlitTiled(%v): count %d, want %d", w, h, r, got, want)
-				}
-				if !tracked.Equal(plain) {
-					t.Fatalf("%dx%d BlitTiled(%v): pixels diverge from Blit", w, h, r)
+				for _, off := range []int{0, 1} {
+					want := plain.Blit(sb, r, r.X0+off, r.Y0)
+					if got := pal.Blit(sb, r, r.X0+off, r.Y0); got != want {
+						t.Fatalf("%dx%d palette Blit(%v, +%d): count %d, want %d", w, h, r, off, got, want)
+					}
+					if !pal.Equal(plain) {
+						t.Fatalf("%dx%d palette Blit(%v, +%d): pixels diverge", w, h, r, off)
+					}
 				}
 			}
 		}
 	}
+}
+
+// narrowScreen builds a w × h palette buffer painted in four colors, so
+// every tile stays compressed.
+func narrowScreen(rng *rand.Rand, w, h int) *Buffer {
+	b := New(w, h)
+	b.EnablePalettes()
+	colors := [4]Color{0x102030, 0xc0c0c0, 0x20a040, 0xf01010}
+	b.FillAll(colors[0])
+	for n := 0; n < 12; n++ {
+		b.Fill(randRectIn(rng, w, h), colors[rng.Intn(len(colors))])
+	}
+	return b
 }
 
 // mutateDamaged applies one random honest-client mutation to buf and
@@ -254,52 +244,53 @@ func union(a, b Rect) Rect {
 	return a
 }
 
-// TestBlitTiledMatchesBlit drives randomized compose sequences through
-// BlitTiled and plain Blit side by side, modelled exactly like the
-// surface compositor uses them: a fixed per-surface destination offset,
-// a full-bounds first compose, reported damage covering every mutation
-// since the previous compose (the surface.Client contract the generation
-// skip relies on), and the ComposeGens snapshot advancing after each
-// pass. Bytes and return values must never diverge — across aligned
-// offsets (tile ladder), misaligned offsets (fallback), redundant
-// latches, over-reported damage and partial edge tiles.
-func TestBlitTiledMatchesBlit(t *testing.T) {
+// TestBlitPaletteMatchesBlit drives randomized compose sequences through
+// Blit on a palette destination and on a plain one side by side,
+// modelled on how the surface compositor uses them: a fixed per-surface
+// destination offset, a full-bounds first compose, and reported damage
+// covering every mutation since the previous compose. Source and blit
+// content come from compressed screens, so aligned composes move index
+// planes. Bytes and return values must never diverge — across aligned
+// offsets (plane copies), misaligned offsets (raw rows), over-reported
+// damage, partial edge tiles and a larger destination.
+func TestBlitPaletteMatchesBlit(t *testing.T) {
 	cases := []struct {
 		w, h   int
 		dw, dh int
-		ox, oy int // fixed destination offset; &31 != 0 forces the fallback
+		ox, oy int // fixed destination offset; &31 != 0 takes raw rows
 	}{
 		{64, 64, 64, 64, 0, 0},     // aligned, same size
 		{64, 64, 128, 160, 32, 64}, // aligned, surface inside a larger fb
 		{33, 47, 33, 47, 0, 0},     // aligned, partial edge tiles
 		{96, 130, 96, 130, 0, 0},   // aligned, partial edge tiles
-		{64, 64, 96, 96, 3, 17},    // misaligned: every compose falls back
+		{64, 64, 96, 96, 3, 17},    // misaligned: every compose takes raw rows
+		{64, 64, 96, 96, 0, 17},    // misaligned rows only
+		{64, 64, 96, 96, 3, 32},    // misaligned columns only
 	}
 	for _, tc := range cases {
 		rng := rand.New(rand.NewSource(int64(tc.w ^ tc.h<<8 ^ tc.ox<<16)))
-		src := noisyBuffer(rng, tc.w, tc.h)
-		src.EnableTiles()
-		dstT := New(tc.dw, tc.dh)
+		src := narrowScreen(rng, tc.w, tc.h)
+		aux := narrowScreen(rng, tc.w, tc.h)
+		dstP := New(tc.dw, tc.dh)
+		dstP.EnablePalettes()
 		dstN := New(tc.dw, tc.dh)
-		dstT.EnableTiles()
-		aux := noisyBuffer(rng, tc.w, tc.h)
 
-		var gens ComposeGens
+		planes := 0             // most destination tiles ever compressed at once
 		pending := src.Bounds() // first compose latches the whole surface
 		for step := 0; step < 150; step++ {
 			damage := pending
 			if rng.Intn(5) == 0 {
 				damage = src.Bounds() // over-reported damage is contract-legal
 			}
-			got := dstT.BlitTiled(src, damage, tc.ox+damage.X0, tc.oy+damage.Y0, gens)
+			got := dstP.Blit(src, damage, tc.ox+damage.X0, tc.oy+damage.Y0)
 			want := dstN.Blit(src, damage, tc.ox+damage.X0, tc.oy+damage.Y0)
 			if got != want {
-				t.Fatalf("%+v step %d: BlitTiled count %d, Blit %d", tc, step, got, want)
+				t.Fatalf("%+v step %d: palette Blit count %d, plain %d", tc, step, got, want)
 			}
-			if !dstT.Equal(dstN) {
-				t.Fatalf("%+v step %d: BlitTiled bytes diverge from Blit", tc, step)
+			if !dstP.Equal(dstN) {
+				t.Fatalf("%+v step %d: palette Blit bytes diverge from plain Blit", tc, step)
 			}
-			gens = ComposeGens{Src: src.Gen(), Dst: dstT.Gen()}
+			planes = max(planes, dstP.PaletteTiles())
 
 			// Paint damage for the next latch: usually some mutations,
 			// sometimes none (a redundant latch re-submitting empty or
@@ -309,85 +300,9 @@ func TestBlitTiledMatchesBlit(t *testing.T) {
 				pending = union(pending, mutateDamaged(rng, src, aux))
 			}
 		}
-	}
-}
-
-// TestForcedSigCollision injects two distinct tiles reporting equal
-// signatures (the PoisonTileSig hook) and proves the pixel-verify
-// fallback keeps composition exact: the collision must not suppress the
-// copy. This is the safety property that makes 64-bit signatures usable
-// at all — equal signatures are only ever a hint.
-func TestForcedSigCollision(t *testing.T) {
-	src := New(64, 64)
-	src.EnableTiles()
-	src.FillAll(Color(0x111111))
-	dst := New(64, 64)
-	dst.EnableTiles()
-	dst.FillAll(Color(0x222222))
-
-	// Force every tile pair to report the same signature even though all
-	// pixels differ.
-	for i := 0; i < src.Tiles(); i++ {
-		src.PoisonTileSig(i, 0xdeadbeef)
-		dst.PoisonTileSig(i, 0xdeadbeef)
-	}
-	// No generation skip applies (ComposeGens zero value), so the blit
-	// decision rests entirely on the poisoned signatures + pixel verify.
-	n := dst.BlitTiled(src, src.Bounds(), 0, 0, ComposeGens{})
-	if n != 64*64 {
-		t.Fatalf("BlitTiled returned %d, want %d", n, 64*64)
-	}
-	for y := 0; y < 64; y++ {
-		for x := 0; x < 64; x++ {
-			if dst.At(x, y) != Color(0x111111) {
-				t.Fatalf("collision suppressed the copy at (%d,%d): %#x", x, y, dst.At(x, y))
-			}
+		if aligned := (tc.ox|tc.oy)&tileMask == 0; aligned != (planes > 0) {
+			t.Fatalf("%+v: %d destination tiles compressed at most, aligned=%v", tc, planes, aligned)
 		}
-	}
-
-	// The inverse hint direction: when tiles really are identical, the
-	// verify confirms it and the copy is skipped — bytes still exact.
-	dst2 := New(64, 64)
-	dst2.EnableTiles()
-	dst2.CopyFrom(src)
-	for i := 0; i < src.Tiles(); i++ {
-		dst2.PoisonTileSig(i, 0xfeedface)
-		src.PoisonTileSig(i, 0xfeedface)
-	}
-	dst2.BlitTiled(src, src.Bounds(), 0, 0, ComposeGens{})
-	if !dst2.Equal(src) {
-		t.Fatal("identical-tile skip corrupted the destination")
-	}
-}
-
-// TestEqualSigFastPathStaysExact: Equal may use cached signatures only in
-// the differing direction; equal (even poisoned-equal) signatures must
-// fall through to the pixel scan.
-func TestEqualSigFastPathStaysExact(t *testing.T) {
-	a := New(64, 64)
-	b := New(64, 64)
-	a.EnableTiles()
-	b.EnableTiles()
-	a.FillAll(Color(0xaaaaaa))
-	b.FillAll(Color(0xbbbbbb))
-	for i := 0; i < a.Tiles(); i++ {
-		a.PoisonTileSig(i, 42)
-		b.PoisonTileSig(i, 42)
-	}
-	if a.Equal(b) {
-		t.Fatal("poisoned-equal signatures masked a pixel difference in Equal")
-	}
-	b.FillAll(Color(0xaaaaaa))
-	if !a.Equal(b) {
-		t.Fatal("identical buffers reported unequal")
-	}
-	// Differing cached signatures on identical... must never happen for
-	// honest sigs; verify the fast path is exact for honestly cached ones.
-	a.Fill(Rect{0, 0, 32, 32}, Color(0x010101))
-	a.TileSig(0)
-	b.TileSig(0)
-	if a.Equal(b) {
-		t.Fatal("differing tile not detected")
 	}
 }
 
@@ -482,23 +397,21 @@ func TestTileLatticeDeltaMatchesFullScan(t *testing.T) {
 }
 
 // TestTileStateAllocFree pins the steady-state allocation contract of the
-// tile layer: touch bookkeeping, signature hashing, COW materialization
-// and tiled blits allocate nothing once buffers exist.
+// tile layer: touch bookkeeping, palette blits (whole tiles and partial
+// ones) and COW materialization allocate nothing once buffers exist.
 func TestTileStateAllocFree(t *testing.T) {
 	src := New(64, 64)
-	src.EnableTiles()
+	src.EnablePalettes()
 	src.FillAll(Color(0x111111))
 	dst := New(64, 64)
-	dst.EnableTiles()
+	dst.EnablePalettes()
 	memo := New(64, 64)
 	memo.FillAll(Color(0x777777))
-	var gens ComposeGens
 	i := 0
 	allocs := testing.AllocsPerRun(50, func() {
 		src.Fill(Rect{i % 30, i % 30, i%30 + 20, i%30 + 20}, Color(i))
-		src.TileSig(0)
-		dst.BlitTiled(src, src.Bounds(), 0, 0, gens)
-		gens = ComposeGens{Src: src.Gen(), Dst: dst.Gen()}
+		dst.Blit(src, src.Bounds(), 0, 0)
+		dst.Blit(src, Rect{0, 0, 40, 40}, 0, 0)
 		dst.ShareFrom(memo) // park + alias
 		dst.Set(1, 1, Color(i))
 		i++

@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -108,5 +109,37 @@ func TestScenarioHandsOffPhase(t *testing.T) {
 	// Hands-off video settles at 30 Hz.
 	if hz := res.Phases[0].MeanRefreshHz; hz < 28 || hz > 40 {
 		t.Errorf("video refresh = %v, want ≈30", hz)
+	}
+}
+
+// TestScenarioTileVsNaivePixels pins the multi-surface compose path
+// against the brute-force oracle. A scenario installs one app per phase,
+// so from the second phase on the device holds several surfaces and the
+// compositor blits them into the framebuffer instead of scanning one out.
+// The production pipeline and NaivePixels must give identical results,
+// with and without the governor.
+func TestScenarioTileVsNaivePixels(t *testing.T) {
+	kakao := mustParams(t, "KakaoTalk")
+	sc := Scenario{
+		Name: "app switching",
+		Phases: []Phase{
+			{App: kakao, Duration: 20 * sim.Second, Seed: 1},
+			{App: mustParams(t, "Jelly Splash"), Duration: 20 * sim.Second, Seed: 2},
+			{App: mustParams(t, "MX Player"), Duration: 20 * sim.Second},
+			{App: kakao, Duration: 10 * sim.Second, Seed: 3},
+		},
+	}
+	for _, gov := range []ccdem.GovernorMode{ccdem.GovernorOff, ccdem.GovernorSectionBoost} {
+		var res [2]*Result
+		for i, naive := range []bool{false, true} {
+			r, err := Run(ccdem.Config{Governor: gov, NaivePixels: naive}, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res[i] = r
+		}
+		if !reflect.DeepEqual(res[0], res[1]) {
+			t.Errorf("governor %v: result differs from NaivePixels:\ntiles: %+v\nnaive: %+v", gov, res[0], res[1])
+		}
 	}
 }

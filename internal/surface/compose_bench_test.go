@@ -22,32 +22,24 @@ func (c *benchClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.R
 }
 
 // BenchmarkTileCompose measures one V-Sync latch of a full-screen-damage
-// frame with 32×32 pixels of real change, across the three composition
+// frame with 32×32 pixels of real change, across the two composition
 // strategies:
 //
 //   - direct: sole full-screen surface under ComposeTiles — the buffer is
 //     scanned out in place, no copies at all;
-//   - tiles: a sole but not full-screen surface — BlitTiled with the
-//     generation skip, copying only the tiles that changed;
 //   - naive: the brute-force oracle, blitting every damaged pixel.
 func BenchmarkTileCompose(b *testing.B) {
 	for _, bc := range []struct {
-		name       string
-		mode       ComposeMode
-		fullScreen bool
+		name string
+		mode ComposeMode
 	}{
-		{"direct", ComposeTiles, true},
-		{"tiles", ComposeTiles, false},
-		{"naive", ComposeNaive, true},
+		{"direct", ComposeTiles},
+		{"naive", ComposeNaive},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := NewManager(sim.NewEngine(), 720, 1280)
 			m.SetComposeMode(bc.mode)
-			frame := framebuffer.R(0, 0, 720, 1280)
-			if !bc.fullScreen {
-				frame.Y1 = 1248 // not full-screen: no direct scanout, sole-writer BlitTiled
-			}
-			s := m.NewSurfaceAt("app", 1, frame, &benchClient{})
+			s := m.NewSurface("app", 1, &benchClient{})
 			s.RequestFrame()
 			m.VSync(0, 60) // first latch: full compose, engages scanout for "direct"
 			b.ReportAllocs()
@@ -60,9 +52,10 @@ func BenchmarkTileCompose(b *testing.B) {
 }
 
 // TestComposeTiledZeroAlloc pins the steady-state allocation contract of
-// tiled composition: after the first latch, a V-Sync — render callback,
-// BlitTiled (or direct scanout), frame accounting — allocates nothing,
-// in every composition mode.
+// composition: after the first latch, a V-Sync — render callback, Blit
+// (or direct scanout), frame accounting — allocates nothing, in every
+// composition mode, including a tracked surface that is not full-screen
+// and so is blitted.
 func TestComposeTiledZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name       string

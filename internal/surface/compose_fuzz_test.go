@@ -99,7 +99,7 @@ func (c *fuzzClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Re
 // drives a ComposeTiles manager and a ComposeNaive manager in lockstep.
 // The visible framebuffer bytes and the FrameInfo stream (sequence,
 // timing, dirty-pixel and render accounting) must stay byte-identical
-// whatever the fuzzer finds: tile skips, direct scanout and its
+// whatever the fuzzer finds: tile tracking, direct scanout and its
 // demotion are pure optimizations.
 func FuzzTileCompose(f *testing.F) {
 	f.Add(int64(1), []byte{0, 5, 0, 5, 0, 5}, uint8(64), uint8(64))

@@ -70,11 +70,6 @@ type Surface struct {
 	// first latch, so per-frame composition allocates nothing.
 	rectScratch []framebuffer.Rect
 
-	// composed snapshots (surface buffer gen, framebuffer gen) at the end
-	// of this surface's last tiled compose; BlitTiled's generation skip
-	// proves tiles unchanged on both sides since then need no re-copy.
-	composed framebuffer.ComposeGens
-
 	requests uint64
 	renders  uint64
 }
@@ -119,11 +114,11 @@ const (
 	// managers.
 	ComposeNaive ComposeMode = iota
 	// ComposeTiles enables tile tracking on the framebuffer and all
-	// surface buffers: composition skips tiles whose content provably did
-	// not change (BlitTiled), and a sole full-screen surface is scanned
-	// out directly without any copy. The visible framebuffer bytes,
-	// dirty-pixel accounting, and FrameInfo stream are identical to
-	// ComposeNaive for contract-honoring clients.
+	// surface buffers, so the meter can compare only written tiles, and
+	// scans a sole full-screen surface out directly without any copy.
+	// Every other surface is blitted exactly as under ComposeNaive. The
+	// visible framebuffer bytes, dirty-pixel accounting, and FrameInfo
+	// stream are identical to ComposeNaive for contract-honoring clients.
 	ComposeTiles
 )
 
@@ -419,44 +414,14 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 				m.scanout = s
 			}
 		}
-		switch {
-		case m.scanout == s:
-			// Direct scanout: the surface buffer IS the framebuffer; no
-			// copies, but dirty-pixel accounting is unchanged.
-			for _, damage := range rects {
-				damage = damage.Clamp(s.buf.Bounds())
-				totalDirty += damage.Area()
-			}
-		case m.mode == ComposeTiles:
-			prev := s.composed
-			if len(m.surfaces) > 1 {
-				// The generation skip's induction — "this framebuffer tile
-				// equals the surface tile it was composed from" — needs the
-				// surface to be the framebuffer's sole writer: another
-				// surface's overlapping compose, later partially overwritten,
-				// leaves a tile whose generations look settled but whose
-				// bytes are a mixture. With overlapping surfaces only the
-				// signature + pixel-verify ladder decides (still exact).
-				prev = framebuffer.ComposeGens{}
-			}
-			for _, damage := range rects {
-				damage = damage.Clamp(s.buf.Bounds())
-				if damage.Empty() {
-					continue
-				}
-				m.fb.BlitTiled(s.buf, damage, s.frame.X0+damage.X0, s.frame.Y0+damage.Y0, prev)
-				totalDirty += damage.Area()
-			}
-			s.composed = framebuffer.ComposeGens{Src: s.buf.Gen(), Dst: m.fb.Gen()}
-		default:
-			for _, damage := range rects {
-				damage = damage.Clamp(s.buf.Bounds())
-				if damage.Empty() {
-					continue
-				}
+		// Under direct scanout the surface buffer IS the framebuffer: no
+		// copy, but the same dirty-pixel accounting.
+		for _, damage := range rects {
+			damage = damage.Clamp(s.buf.Bounds())
+			if m.scanout != s {
 				m.fb.Blit(s.buf, damage, s.frame.X0+damage.X0, s.frame.Y0+damage.Y0)
-				totalDirty += damage.Area()
 			}
+			totalDirty += damage.Area()
 		}
 		totalRendered += renderedPx
 	}
