@@ -34,7 +34,8 @@ import (
 // oracle (compose and compare, whose naive rows double as the comparison
 // baseline), the palette representation against raw tiles (blit rows),
 // the memo snapshot encoder over raw and compressed sources, the
-// video frame as per-band fills and as one binned batch, the
+// video frame as per-band fills and as one binned batch, the feed
+// scroll step in the index domain and as raw rows, the
 // event engine (cold-start and steady-state), the
 // whole-device paths (per-op setup and zero-alloc steady state), and the
 // fleet campaign path (streamed throughput and memory footprint —
@@ -43,7 +44,7 @@ import (
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
-	`BenchmarkPaletteBlit|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|` +
+	`BenchmarkPaletteBlit|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|BenchmarkPaletteScroll|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|` +
 	`BenchmarkFleetThroughput|BenchmarkCohortMemory)$`

@@ -160,8 +160,8 @@ type Model struct {
 	sprites     []spriteState
 	prevSprites []spriteState
 	damage      framebuffer.Region // damage of the current render
-	bands       []framebuffer.Rect // paintVideo's FillRects batch, reused
-	bandColors  []framebuffer.Color
+	batch       []framebuffer.Rect // the painters' FillRects batch, reused
+	batchColors []framebuffer.Color
 
 	// State memoization (see initcache.go): when enabled, early content
 	// states alias memoized palette-compressed screens instead of

@@ -15,6 +15,7 @@ import (
 const (
 	headerH     = 48 // status/app bar height for feed apps
 	feedRowH    = 24 // scroll step per content advance
+	feedHeadH   = 5  // header band at the top of each list row
 	spriteCount = 6
 	spriteSize  = 48
 	pulseSize   = 120
@@ -268,22 +269,31 @@ func (m *Model) paintStyle(buf *framebuffer.Buffer) {
 
 // paintFeedRows fills r with list rows whose colors derive from absolute
 // scroll position, so scrolled-in rows always differ from what they
-// replace.
+// replace. Each 24-px list row shows a 5-px header band and a lightened
+// 19-px body; the bands go to the buffer as one FillRects batch, one rect
+// per band, so each tile is written once.
 func (m *Model) paintFeedRows(buf *framebuffer.Buffer, r framebuffer.Rect) {
 	r = r.Clamp(framebuffer.R(0, m.headerPx(), m.w, m.h))
 	if r.Empty() {
 		return
 	}
-	for y := r.Y0; y < r.Y1; y++ {
-		abs := (m.scrollPos + y) / feedRowH
-		c := hashColor(uint64(abs), m.salt())
-		// Alternate row texture: body rows are lightened.
-		if (m.scrollPos+y)%feedRowH > 4 {
+	m.batch, m.batchColors = m.batch[:0], m.batchColors[:0]
+	for y := r.Y0; y < r.Y1; {
+		pos := m.scrollPos + y
+		top := pos - pos%feedRowH // the list row's absolute top
+		c := hashColor(uint64(top/feedRowH), m.salt())
+		end := top + feedHeadH
+		if pos >= end { // the body is lightened
 			rr, g, b := c.RGB()
 			c = framebuffer.RGB(rr/2+110, g/2+110, b/2+110)
+			end = top + feedRowH
 		}
-		buf.Fill(framebuffer.R(r.X0, y, r.X1, y+1), c)
+		y1 := min(y+end-pos, r.Y1)
+		m.batch = append(m.batch, framebuffer.R(r.X0, y, r.X1, y1))
+		m.batchColors = append(m.batchColors, c)
+		y = y1
 	}
+	buf.FillRects(m.batch, m.batchColors)
 }
 
 // paintSprites draws all sprites at their current positions, records them
@@ -319,16 +329,16 @@ func (m *Model) pulseRect() framebuffer.Rect {
 // partial fills until its palette overflows to raw.
 func (m *Model) paintVideo(buf *framebuffer.Buffer) framebuffer.Rect {
 	r := m.videoRect()
-	m.bands, m.bandColors = m.bands[:0], m.bandColors[:0]
+	m.batch, m.batchColors = m.batch[:0], m.batchColors[:0]
 	for x := r.X0; x < r.X1; x += bandW {
 		x1 := x + bandW
 		if x1 > r.X1 {
 			x1 = r.X1
 		}
-		m.bands = append(m.bands, framebuffer.R(x, r.Y0, x1, r.Y1))
-		m.bandColors = append(m.bandColors, hashColor(m.contentSeq, m.salt()+uint64(x/bandW)))
+		m.batch = append(m.batch, framebuffer.R(x, r.Y0, x1, r.Y1))
+		m.batchColors = append(m.batchColors, hashColor(m.contentSeq, m.salt()+uint64(x/bandW)))
 	}
-	buf.FillRects(m.bands, m.bandColors)
+	buf.FillRects(m.batch, m.batchColors)
 	return r
 }
 

@@ -187,14 +187,16 @@ func (p Pool) RunIndexed(parent context.Context, n int, task func(ctx context.Co
 		return parent.Err()
 	}
 	workers := p.EffectiveWorkers(n)
-	batch := p.Batch
-	if batch < 1 {
-		batch = 1
-	}
+	// A batch past n claims nothing more; capping it keeps the lane
+	// offsets below from overflowing.
+	batch := min(max(p.Batch, 1), n)
 
 	ctx, cancel := context.WithCancel(parent)
 	defer cancel()
 
+	// Worker w's first batch is [w·batch, (w+1)·batch); the shared counter
+	// hands out the batches after those. Which lanes run a task then does
+	// not depend on scheduling: exactly min(workers, batches) lanes do.
 	var (
 		next atomic.Int64 // next task index to claim (batch at a time)
 		mu   sync.Mutex   // guards errs/done and serializes OnProgress
@@ -202,12 +204,12 @@ func (p Pool) RunIndexed(parent context.Context, n int, task func(ctx context.Co
 		errs []taskError
 		wg   sync.WaitGroup
 	)
+	next.Store(int64(workers) * int64(batch))
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func(w int) {
 			defer wg.Done()
-			for {
-				hi := int(next.Add(int64(batch)))
+			for hi := (w + 1) * batch; ; hi = int(next.Add(int64(batch))) {
 				lo := hi - batch
 				if lo >= n || ctx.Err() != nil {
 					return

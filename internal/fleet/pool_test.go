@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -320,6 +321,54 @@ func TestPoolBatchErrorSemantics(t *testing.T) {
 	}
 	if got := ran.Load(); got != 4 {
 		t.Errorf("fail-fast run executed %d tasks of a claimed batch, want 4", got)
+	}
+}
+
+// Lane w's first claim is batch w, so which lanes run a task does not
+// depend on scheduling: exactly min(workers, batches) of them do. A lane
+// that runs a task builds its recycled device, so this is what makes a
+// cohort's allocation count repeat.
+func TestPoolFirstBatchPerLane(t *testing.T) {
+	for _, tc := range []struct{ workers, batch, n int }{{8, 8, 32}, {3, 4, 40}, {4, 1, 4}, {2, 100, 10}} {
+		lanes := make([]int, tc.n)
+		err := Pool{Workers: tc.workers, Batch: tc.batch}.RunIndexed(context.Background(), tc.n,
+			func(_ context.Context, i, w int) error {
+				lanes[i] = w
+				return nil
+			})
+		if err != nil {
+			t.Fatal(err)
+		}
+		used := map[int]bool{}
+		for i, w := range lanes {
+			used[w] = true
+			if b := i / tc.batch; b < tc.workers && w != b {
+				t.Errorf("%+v: task %d of first batch %d ran on lane %d", tc, i, b, w)
+			}
+		}
+		batches := (tc.n + tc.batch - 1) / tc.batch
+		if len(used) != min(tc.workers, batches) {
+			t.Errorf("%+v: %d lanes ran tasks, want %d", tc, len(used), min(tc.workers, batches))
+		}
+	}
+}
+
+// A batch far past the task count, which a job spec may carry, runs every
+// task once: neither a lane's first batch nor a later claim may overflow.
+func TestPoolHugeBatch(t *testing.T) {
+	const n = 10
+	var ran [n]atomic.Int32
+	err := Pool{Workers: 4, Batch: math.MaxInt}.Run(context.Background(), n, func(_ context.Context, i int) error {
+		ran[i].Add(1)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range ran {
+		if c := ran[i].Load(); c != 1 {
+			t.Errorf("task %d ran %d times", i, c)
+		}
 	}
 }
 

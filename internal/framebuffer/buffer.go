@@ -211,7 +211,9 @@ func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
 // ScrollVert shifts the content of region r vertically by dy pixels
 // (positive dy moves content down the screen, as when a user scrolls up a
 // list). Rows vacated by the shift are left untouched for the caller to
-// repaint. It returns the rectangle the caller must repaint.
+// repaint. It returns the rectangle the caller must repaint. On a
+// palette-enabled buffer with compressed tiles the shift runs in the
+// index domain (see scrollPal); otherwise rows move as raw pixels.
 func (b *Buffer) ScrollVert(r Rect, dy int) Rect {
 	r = r.Clamp(b.Bounds())
 	if r.Empty() || dy == 0 {
@@ -221,25 +223,32 @@ func (b *Buffer) ScrollVert(r Rect, dy int) Rect {
 		return r // everything scrolled out; repaint all (no pixels written)
 	}
 	b.own()
-	b.realizeRegion(r)
-	if dy > 0 {
-		// Move rows downward, iterating bottom-up to avoid overwrite.
-		for y := r.Y1 - 1; y >= r.Y0+dy; y-- {
-			src := b.pix[(y-dy)*b.w+r.X0 : (y-dy)*b.w+r.X1]
-			dst := b.pix[y*b.w+r.X0 : y*b.w+r.X1]
-			copy(dst, src)
+	// moved takes the content dy rows away from it; vacated is left over.
+	moved, vacated := Rect{r.X0, r.Y0 + dy, r.X1, r.Y1}, Rect{r.X0, r.Y0, r.X1, r.Y0 + dy}
+	if dy < 0 {
+		moved, vacated = Rect{r.X0, r.Y0, r.X1, r.Y1 + dy}, Rect{r.X0, r.Y1 + dy, r.X1, r.Y1}
+	}
+	if t := b.tiles; t != nil && t.palOn && t.palTiles > 0 {
+		b.scrollPal(moved, dy)
+	} else {
+		b.moveRows(moved, dy)
+	}
+	b.touch(moved)
+	return vacated
+}
+
+// moveRows copies into each row of dst the content dy rows above it
+// (below for negative dy) as raw pixels, decoding compressed source
+// tiles, in read-before-write order: bottom-up when content moves down.
+// b must be materialized, and the tiles under dst raw.
+func (b *Buffer) moveRows(dst Rect, dy int) {
+	for k := 0; k < dst.Dy(); k++ {
+		y := dst.Y0 + k
+		if dy > 0 {
+			y = dst.Y1 - 1 - k
 		}
-		b.touch(Rect{r.X0, r.Y0 + dy, r.X1, r.Y1})
-		return Rect{r.X0, r.Y0, r.X1, r.Y0 + dy}
+		b.readRow(b.pix[y*b.w+dst.X0:y*b.w+dst.X1], dst.X0, y-dy, dst.Dx())
 	}
-	// dy < 0: move rows upward, top-down.
-	for y := r.Y0; y < r.Y1+dy; y++ {
-		src := b.pix[(y-dy)*b.w+r.X0 : (y-dy)*b.w+r.X1]
-		dst := b.pix[y*b.w+r.X0 : y*b.w+r.X1]
-		copy(dst, src)
-	}
-	b.touch(Rect{r.X0, r.Y0, r.X1, r.Y1 + dy})
-	return Rect{r.X0, r.Y1 + dy, r.X1, r.Y1}
 }
 
 // Equal reports whether b and o hold identical pixels, reading both sides

@@ -102,29 +102,41 @@ func (f fillTwins) batch(t *testing.T, step int, rects []Rect, colors []Color) {
 	}
 }
 
-// check compares every pixel, the buffer generation and every tile
-// generation of the twins, and checks FillRects' buffer against the
-// palette bookkeeping invariants: palTiles counts the compressed tiles,
-// a solid tile (palN == 1) has an all-zero plane, and a compressed edge
-// tile has zero nibbles outside the screen.
+// check compares the twins (checkSame) and checks FillRects' buffer
+// against the palette bookkeeping invariants (checkPalState).
 func (f fillTwins) check(t *testing.T, step int) {
 	t.Helper()
-	a, b := f.rects, f.fill
+	checkSame(t, step, f.rects, f.fill)
+	checkPalState(t, step, f.rects)
+}
+
+// checkSame compares every pixel, the buffer generation and every tile
+// generation of buffer a against its twin b.
+func checkSame(t *testing.T, step int, a, b *Buffer) {
+	t.Helper()
 	for y := 0; y < a.h; y++ {
 		for x := 0; x < a.w; x++ {
 			if ca, cb := a.At(x, y), b.At(x, y); ca != cb {
-				t.Fatalf("step %d: At(%d,%d) FillRects=%08x Fill=%08x", step, x, y, ca, cb)
+				t.Fatalf("step %d: At(%d,%d) = %08x, twin %08x", step, x, y, ca, cb)
 			}
 		}
 	}
 	if a.Gen() != b.Gen() {
-		t.Fatalf("step %d: Gen FillRects=%d Fill=%d", step, a.Gen(), b.Gen())
+		t.Fatalf("step %d: Gen = %d, twin %d", step, a.Gen(), b.Gen())
 	}
 	for i := 0; i < a.Tiles(); i++ {
 		if a.TileGen(i) != b.TileGen(i) {
-			t.Fatalf("step %d: tile %d gen FillRects=%d Fill=%d", step, i, a.TileGen(i), b.TileGen(i))
+			t.Fatalf("step %d: tile %d gen = %d, twin %d", step, i, a.TileGen(i), b.TileGen(i))
 		}
 	}
+}
+
+// checkPalState checks a palette buffer's bookkeeping invariants:
+// palTiles counts the compressed tiles, a solid tile (palN == 1) has an
+// all-zero plane, and a compressed edge tile has zero nibbles outside the
+// screen.
+func checkPalState(t *testing.T, step int, a *Buffer) {
+	t.Helper()
 	ts := a.tiles
 	if !ts.palOn || a.shared != nil {
 		return

@@ -1,6 +1,9 @@
 package framebuffer
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math/bits"
+)
 
 // Palette-compressed tiles: the *Surface Compression Using Dynamic Color
 // Palettes* idea (PAPERS.md), kept on the tile grid of tile.go. Mobile UI
@@ -17,11 +20,11 @@ import "encoding/binary"
 //     the pixel array is stale under it. When palN[i] == 0 the pixel
 //     array is authoritative, exactly as before.
 //   - Promotion back to raw is transparent: palette overflow on a
-//     partial write, or a raw kernel (ScrollVert, a misaligned or
-//     partial-tile Blit) landing on a compressed tile, realizes the tile
-//     into the pixel array first. A fill covering a whole tile resets it
-//     to a fresh one-color palette, so flat UI churns between solid
-//     palettes, not raw.
+//     partial write, or a raw kernel (a misaligned or partial-tile Blit,
+//     a scroll that cannot rebuild a tile from index planes) landing on
+//     a compressed tile, realizes the tile into the pixel array first. A
+//     fill covering a whole tile resets it to a fresh one-color palette,
+//     so flat UI churns between solid palettes, not raw.
 //
 // Readers must be representation-aware AND sharing-aware: a copy-on-write
 // view's content lives on its shared source (which may be compressed, or
@@ -581,6 +584,87 @@ func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
 	b.copyRows(src, sx, sy, tr)
 }
 
+// scrollPal is ScrollVert's kernel for palette-enabled buffers: every
+// tile that moved (the rect taking content from dy rows away) overlaps is
+// rebuilt by scrollTile, and a tile it cannot rebuild is realized and
+// takes raw rows. Tile rows run in read-before-write order — bottom-up
+// when content moves down — so each tile is read as a source before it is
+// rewritten. b must be materialized.
+func (b *Buffer) scrollPal(moved Rect, dy int) {
+	t := b.tiles
+	ty, last, step := moved.Y0>>TileShift, (moved.Y1-1)>>TileShift, 1
+	if dy > 0 {
+		ty, last, step = last, ty, -1
+	}
+	for ; ; ty += step {
+		for tx := moved.X0 >> TileShift; tx <= (moved.X1-1)>>TileShift; tx++ {
+			i := ty*t.cols + tx
+			tr := b.TileRect(i)
+			mv := tr.Intersect(moved)
+			if b.scrollTile(i, tr, mv, dy) {
+				continue
+			}
+			if t.palN[i] > 0 {
+				b.realizeTile(i)
+			}
+			b.moveRows(mv, dy)
+		}
+		if ty == last {
+			return
+		}
+	}
+}
+
+// scrollTile rebuilds tile i (rect tr) after the rows of mv take the
+// content dy rows away from them. The moved rows are the 16-byte plane
+// rows of at most two source tiles in the same tile column, the other
+// rows the tile's own; each run of rows is re-indexed from its tile's
+// palette into a fresh palette of the colors the rows show. The fresh
+// palette is what keeps a scrolling list compressed: kept palettes would
+// collect every color scrolled through and overflow within a few steps.
+// The tile is built in scratch and written only once it is known to fit;
+// scrollTile reports false, writing nothing, when mv does not span the
+// tile's width, a contributing tile is raw, or the colors exceed
+// PaletteCap. Only the tile's own nibbles are set, so a single color
+// leaves the all-zero plane palN == 1 requires.
+func (b *Buffer) scrollTile(i int, tr, mv Rect, dy int) bool {
+	t := b.tiles
+	tx := tr.X0 >> TileShift
+	top := ((mv.Y0-dy)>>TileShift)*t.cols + tx
+	bot := ((mv.Y1-1-dy)>>TileShift)*t.cols + tx
+	if mv.Dx() != tr.Dx() || t.palN[top] == 0 || t.palN[bot] == 0 || (mv != tr && t.palN[i] == 0) {
+		return false
+	}
+	// Tile-local rows [y0, y1) move: up to split they come from top's rows
+	// from sy on, the rest from bot's first rows.
+	const rowBytes = TileSize / 2
+	h, y0, y1 := tr.Dy(), mv.Y0-tr.Y0, mv.Y1-tr.Y0
+	sy := (mv.Y0 - dy) & tileMask
+	split := min(y1, y0+TileSize-sy)
+	own, ownPal := t.tilePlane(i), t.tilePal(i)
+	var rows [planeTileBytes]byte
+	copy(rows[:y0*rowBytes], own)
+	copy(rows[y0*rowBytes:split*rowBytes], t.tilePlane(top)[sy*rowBytes:])
+	copy(rows[split*rowBytes:y1*rowBytes], t.tilePlane(bot))
+	copy(rows[y1*rowBytes:], own[y1*rowBytes:])
+	var pal [PaletteCap]Color
+	p := snapPal{pal: pal[:]}
+	ml, mh := nibSpan(0, tr.Dx())
+	if !p.remapRows(rows[:y0*rowBytes], ownPal, ml, mh) ||
+		!p.remapRows(rows[y0*rowBytes:split*rowBytes], t.tilePal(top), ml, mh) ||
+		!p.remapRows(rows[split*rowBytes:y1*rowBytes], t.tilePal(bot), ml, mh) ||
+		!p.remapRows(rows[y1*rowBytes:h*rowBytes], ownPal, ml, mh) {
+		return false
+	}
+	if t.palN[i] == 0 {
+		t.palTiles++
+	}
+	t.palN[i] = uint8(p.n)
+	copy(ownPal, pal[:p.n])
+	copy(own, rows[:])
+	return true
+}
+
 // EncodeAll palette-compresses every raw tile whose content fits
 // PaletteCap colors; the others stay raw.
 func (b *Buffer) EncodeAll() {
@@ -685,18 +769,25 @@ func NewPaletteSnapshot(src *Buffer) *Buffer {
 }
 
 // snapPal builds one tile palette in first-occurrence order — a snapshot
-// tile, or a tile FillRects rebuilds — with a one-entry cache of the last
-// color looked up and, for a compressed snapshot source tile, the map
-// from source to snapshot indices.
+// tile, or a tile FillRects or ScrollVert rebuilds — with a one-entry
+// cache of the last color looked up and, for a compressed snapshot source
+// tile, the map from source to snapshot indices.
 type snapPal struct {
 	pal  []Color // the tile's PaletteCap entries, initially zero
 	n    int
 	last Color
 	idx  byte
 
-	from  [PaletteCap]byte // snapshot index of each resolved source index
-	seen  uint16           // source indices resolved so far
-	moved bool             // some source index maps elsewhere
+	src   idxMap // a compressed snapshot source tile (see remap)
+	moved bool   // some source index maps elsewhere
+}
+
+// idxMap maps the indices of a source tile's palette to those of a
+// palette being built, each resolved on first sight.
+type idxMap struct {
+	spal []Color
+	from [PaletteCap]byte // built index of each resolved source index
+	seen uint16           // source indices resolved so far
 }
 
 // index returns c's palette index, appending c on its first occurrence;
@@ -706,6 +797,69 @@ func (p *snapPal) index(c Color) (idx byte, ok bool) {
 		return p.idx, true
 	}
 	return p.lookup(c)
+}
+
+// mapIdx returns the index in p of source index v's color, resolving v
+// on first sight; ok is false when that color would overflow p.
+func (p *snapPal) mapIdx(s *idxMap, v byte) (idx byte, ok bool) {
+	if s.seen>>v&1 == 0 {
+		if s.from[v], ok = p.index(s.spal[v]); !ok {
+			return 0, false
+		}
+		s.seen |= 1 << v
+	}
+	return s.from[v], true
+}
+
+// mapWord re-indexes the nibbles of plane word w under nibble mask m from
+// s into p and zeroes the nibbles outside m. A word that one index fills
+// under m costs one mapIdx. ok is false when p would overflow.
+func (p *snapPal) mapWord(s *idxMap, w, m uint64) (uint64, bool) {
+	if m == 0 {
+		return 0, true
+	}
+	if v := w >> bits.TrailingZeros64(m) & 0xF; (w^v*0x1111111111111111)&m == 0 {
+		idx, ok := p.mapIdx(s, byte(v))
+		return uint64(idx) * 0x1111111111111111 & m, ok
+	}
+	out := uint64(0)
+	for k := 0; k < 64; k += 4 {
+		if m>>k&0xF == 0 {
+			continue
+		}
+		idx, ok := p.mapIdx(s, byte(w>>k&0xF))
+		if !ok {
+			return 0, false
+		}
+		out |= uint64(idx) << k
+	}
+	return out, true
+}
+
+// remapRows re-indexes the 16-byte plane rows of rows in place from
+// source palette spal into p, keeping the nibbles under masks ml and mh of
+// each row's two words and zeroing the rest. A row repeating the one
+// before it reuses its result. It reports false when p would overflow.
+func (p *snapPal) remapRows(rows []byte, spal []Color, ml, mh uint64) bool {
+	const rowBytes = TileSize / 2
+	s := idxMap{spal: spal}
+	var w0, w1, o0, o1 uint64
+	for k := 0; k < len(rows); k += rowBytes {
+		row := rows[k : k+rowBytes]
+		r0, r1 := binary.LittleEndian.Uint64(row), binary.LittleEndian.Uint64(row[8:])
+		if k == 0 || r0 != w0 || r1 != w1 {
+			var ok0, ok1 bool
+			o0, ok0 = p.mapWord(&s, r0, ml)
+			o1, ok1 = p.mapWord(&s, r1, mh)
+			if !ok0 || !ok1 {
+				return false
+			}
+			w0, w1 = r0, r1
+		}
+		binary.LittleEndian.PutUint64(row, o0)
+		binary.LittleEndian.PutUint64(row[8:], o1)
+	}
+	return true
 }
 
 // lookup is index without the cache.
@@ -809,6 +963,7 @@ func (p *snapPal) remap(plane, splane []byte, spal []Color, dx, dy int) {
 		span, rows = dy*rowBytes, 1 // full-width rows are contiguous
 	}
 	odd := dx & 1
+	p.src.spal = spal
 	var last uint64
 	for y := 0; y < rows; y++ {
 		row := splane[y*rowBytes:][:span]
@@ -816,21 +971,22 @@ func (p *snapPal) remap(plane, splane []byte, spal []Color, dx, dy int) {
 		for ; len(pairs) >= 8; pairs = pairs[8:] {
 			// A repeat of the last 8 bytes scanned holds no new index
 			// (last is a scanned word once anything is seen).
-			if w := binary.LittleEndian.Uint64(pairs); w != last || p.seen == 0 {
+			if w := binary.LittleEndian.Uint64(pairs); w != last || p.src.seen == 0 {
 				last = w
-				p.see(pairs[:8], spal)
+				p.see(pairs[:8])
 			}
 		}
-		p.see(pairs, spal)
+		p.see(pairs)
 		if odd == 1 {
-			p.resolve(row[span-1]&0xF, spal) // its high nibble is outside the rect
+			p.resolve(row[span-1] & 0xF) // its high nibble is outside the rect
 		}
 	}
+	from := &p.src.from
 	for y := 0; y < rows; y++ {
 		src, dst := splane[y*rowBytes:][:span], plane[y*rowBytes:][:span]
 		if p.moved {
 			for k, v := range src {
-				dst[k] = p.from[v&0xF] | p.from[v>>4]<<4
+				dst[k] = from[v&0xF] | from[v>>4]<<4
 			}
 		} else {
 			copy(dst, src)
@@ -842,24 +998,20 @@ func (p *snapPal) remap(plane, splane []byte, spal []Color, dx, dy int) {
 }
 
 // see resolves the source indices of a run of pixel-pair bytes in order.
-func (p *snapPal) see(pairs []byte, spal []Color) {
+func (p *snapPal) see(pairs []byte) {
 	for _, v := range pairs {
-		if lo, hi := v&0xF, v>>4; p.seen>>lo&(p.seen>>hi)&1 == 0 {
-			p.resolve(lo, spal)
-			p.resolve(hi, spal)
+		if lo, hi := v&0xF, v>>4; p.src.seen>>lo&(p.src.seen>>hi)&1 == 0 {
+			p.resolve(lo)
+			p.resolve(hi)
 		}
 	}
 }
 
 // resolve maps source index s to its color's snapshot index on first
-// sight.
-func (p *snapPal) resolve(s byte, spal []Color) {
-	if p.seen>>s&1 != 0 {
-		return
-	}
-	idx, _ := p.lookup(spal[s])
-	p.from[s] = idx
-	p.seen |= 1 << s
+// sight. A source palette holds at most PaletteCap colors, so this cannot
+// overflow.
+func (p *snapPal) resolve(s byte) {
+	idx, _ := p.mapIdx(&p.src, s)
 	p.moved = p.moved || idx != s
 }
 

@@ -18,8 +18,11 @@ func feedPaint(buf *Buffer) {
 // BenchmarkPaletteBlit measures full-screen composition of alternating
 // app screens — the memo-hit shape, where every tile differs and the
 // whole frame is copied — with Blit on the palette representation
-// against raw tiles. The palette rows move each tile as a 512-byte index
-// plane plus its side table; the raw rows move 4 KB of pixels per tile.
+// against raw tiles. feedPaint leaves a fresh buffer's list tiles raw (its
+// 24-px rows never cover a whole tile), and only the second screen is
+// re-encoded, so the palette row alternates a screen of 512-byte index
+// planes plus side tables with one whose list tiles take raw rows; the
+// raw row moves 4 KB of pixels per tile.
 func BenchmarkPaletteBlit(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -39,7 +42,7 @@ func BenchmarkPaletteBlit(b *testing.B) {
 					screens[i].ScrollVert(R(0, 48, 720, 1280), -24)
 					screens[i].Fill(R(0, 1256, 720, 1280), RGB(200, 90, 20))
 					if bc.palette {
-						screens[i].EncodeAll() // restore compression after the scroll realized rows
+						screens[i].EncodeAll() // compress the list tiles feedPaint left raw
 					}
 				}
 			}
@@ -61,7 +64,9 @@ func BenchmarkPaletteBlit(b *testing.B) {
 
 // scrolledFeed returns a 720×1280 palette screen holding feedPaint's
 // content after a 24-px scroll of the list and a repaint of the vacated
-// rows: the list tiles are raw, the header tiles compressed.
+// rows. The top row of header tiles is compressed; the list tiles are raw,
+// because feedPaint's partial fills leave a fresh buffer's raw tiles raw
+// and a scroll from raw source tiles moves raw rows.
 func scrolledFeed() *Buffer {
 	buf := New(720, 1280)
 	buf.EnableTiles()
@@ -76,10 +81,11 @@ func scrolledFeed() *Buffer {
 var snapSink *Buffer
 
 // BenchmarkPaletteSnapshot measures the app state memo's store path: one
-// NewPaletteSnapshot of a 720×1280 feed screen. The raw row snapshots the
-// screen as a 24-px scroll leaves it — list tiles realized to raw pixels
-// under the compressed header — and the palette row the same screen after
-// EncodeAll, so every source tile is re-indexed instead of encoded.
+// NewPaletteSnapshot of a 720×1280 feed screen. The raw row snapshots
+// scrolledFeed's screen, whose list tiles are raw, and the palette row the
+// same screen after EncodeAll, so every source tile is re-indexed instead
+// of encoded: the shape of a device's feed screen, whose tiles start
+// compressed and stay so as the list scrolls.
 func BenchmarkPaletteSnapshot(b *testing.B) {
 	for _, bc := range []struct {
 		name   string
@@ -139,6 +145,51 @@ func BenchmarkPaletteFill(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				paint(sets[i%len(sets)])
+			}
+		})
+	}
+}
+
+// feedStep runs one step of a scrolling feed on a 720×1280 screen: the
+// list under the 48-px header scrolls up 24 px and the vacated rows are
+// repainted as one FillRects batch of the three bands a feed app paints
+// there (the body of one list row, then the header band and the start of
+// the body of the next), in colors that change with step.
+func feedStep(buf *Buffer, step int, rects []Rect, colors []Color) {
+	buf.ScrollVert(R(0, 48, 720, 1280), -24)
+	rects = append(rects[:0], R(0, 1256, 720, 1272), R(0, 1272, 720, 1277), R(0, 1277, 720, 1280))
+	colors = colors[:0]
+	for k := range rects {
+		i := step + k/2
+		colors = append(colors, RGB(uint8(60+i*13%180), uint8(60+i*29%180), uint8(60+i*47%180)+uint8(k&1)))
+	}
+	buf.FillRects(rects, colors)
+}
+
+// BenchmarkPaletteScroll measures one feed step (feedStep) on a
+// 720×1280 palette screen whose list tiles start compressed, as a
+// device's recycled framebuffer does, and on its raw-tile twin. The
+// palette row rebuilds each list tile from index-plane rows into a
+// pruned palette; the raw row moves 3.5 MB of pixels.
+func BenchmarkPaletteScroll(b *testing.B) {
+	for _, bc := range []struct {
+		name    string
+		palette bool
+	}{{"palette", true}, {"raw", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := New(720, 1280)
+			buf.EnableTiles()
+			if bc.palette {
+				buf.EnablePalettes()
+			}
+			buf.Recycle()
+			feedPaint(buf)
+			rects, colors := make([]Rect, 0, 3), make([]Color, 0, 3)
+			feedStep(buf, 0, rects, colors)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				feedStep(buf, i, rects, colors)
 			}
 		})
 	}

@@ -24,6 +24,9 @@ func FuzzPaletteCompare(f *testing.F) {
 	f.Add(int64(4), []byte{3, 3, 3, 3, 9, 0, 6, 9}, uint8(31), uint8(32)) // single stores walk a palette to 16 then over
 	f.Add(int64(5), []byte{0, 5, 5, 2, 9, 7, 0, 9, 6}, uint8(80), uint8(130))
 	f.Add(int64(6), []byte{8, 8, 9, 8, 2, 8, 7, 8}, uint8(99), uint8(119)) // FillRects batches over recycled and promoted tiles
+	// Scrolls over recycled, batched, snapshot and promoted tiles, on an
+	// 8-px-wide screen, where a random rect spans a whole tile row often.
+	f.Add(int64(8), []byte{9, 9, 4, 4, 4, 4, 8, 4, 4, 4, 4, 0, 4, 4, 4, 7, 4, 4, 4, 2, 4, 4, 4, 6, 4, 4, 4}, uint8(0), uint8(111))
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8) {
 		w := int(w8%100) + 8 // 8..107: partial edge tiles in both axes
