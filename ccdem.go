@@ -119,16 +119,17 @@ type Config struct {
 	// MeterEarlyExit stops grid comparison at the first differing sample
 	// (extension; classification unchanged, metering cost reduced).
 	MeterEarlyExit bool
-	// NaivePixels forces the pre-tile brute-force pixel pipeline:
-	// full-rect composition blits and full-lattice grid comparison on
-	// every frame. The default (false) runs the tile-tracked pipeline —
-	// direct scanout of a sole full-screen surface, tile-delta grid
-	// comparison, palette-compressed tiles and blits, and the app state
-	// memo — which produces
-	// bit-identical framebuffer contents, meter verdicts, decision traces
-	// and statistics. The naive path runs without tiles, palettes or the
-	// memo and is kept as the one differential-testing oracle, mirroring
-	// the lean-mode pattern of the negative trace/sample intervals.
+	// NaivePixels forces the pre-tile brute-force pixel pipeline: plain
+	// buffers, full-rect composition blits and full-lattice grid
+	// comparison on every frame. It is the device's one pixel-pipeline
+	// switch (surface.Manager.SetTiles). The default (false) runs the tile
+	// pipeline: every buffer tracks palette-compressed tiles, a sole
+	// full-screen surface is scanned out directly, and the meter's
+	// tile-delta comparison and the app state memo follow from the
+	// buffers they see. Framebuffer contents, meter verdicts, decision
+	// traces and statistics are bit-identical either way; the naive path
+	// is kept as the one differential-testing oracle, mirroring the
+	// lean-mode pattern of the negative trace/sample intervals.
 	NaivePixels bool
 	// DownHysteresis requires this many consecutive down indications
 	// before the governor lowers the rate (extension; 0 = paper's
@@ -328,12 +329,9 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	} else {
 		d.mgr = surface.NewManager(d.eng, cfg.Width, cfg.Height)
 	}
-	if cfg.NaivePixels {
-		d.mgr.SetComposeMode(surface.ComposeNaive)
-	} else {
-		d.mgr.SetComposeMode(surface.ComposeTiles)
-	}
-	d.mgr.SetPalettes(!cfg.NaivePixels)
+	// The one pipeline switch: the meter's delta path and the app state
+	// memo follow from whether the buffers they see track tiles.
+	d.mgr.SetTiles(!cfg.NaivePixels)
 	if reuse {
 		if err := d.model.Reset(*cfg.PowerParams, d.panel.Rate(), cfg.Brightness); err != nil {
 			return err
@@ -387,7 +385,6 @@ func (d *Device) init(cfg Config, reuse bool) error {
 		OnCompare: onCompare,
 		EarlyExit: cfg.MeterEarlyExit,
 		Recorder:  cfg.Recorder,
-		Tiles:     !cfg.NaivePixels,
 	}
 	if cfg.Faults != nil {
 		meterCfg.Fault = cfg.Faults.MeterHook
@@ -601,7 +598,6 @@ func (d *Device) InstallApp(p app.Params) (*app.Model, error) {
 		return nil, err
 	}
 	m.Attach(d.eng, d.mgr)
-	m.SetStateMemo(!d.cfg.NaivePixels)
 	if d.cfg.Faults != nil {
 		m.SetStall(d.cfg.Faults.AppStalled)
 	}

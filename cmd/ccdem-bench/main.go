@@ -30,9 +30,9 @@ import (
 )
 
 // suiteRegex pins the gated benchmarks: the hot-path kernels (grid sample,
-// pixel diff, fill, meter observe), the tile pipeline against its naive
-// oracle (compose and compare, whose naive rows double as the comparison
-// baseline), the palette representation against raw tiles (blit rows),
+// fill, meter observe), the tile pipeline against its naive oracle
+// (compose and compare, whose naive rows double as the comparison
+// baseline), the palette representation against plain buffers (blit rows),
 // the memo snapshot encoder over raw and compressed sources, the
 // video frame as per-band fills and as one binned batch, the feed
 // scroll step in the index domain and as raw rows, the
@@ -42,7 +42,7 @@ import (
 // single-op cohorts, cheap enough to gate). Heavier figure-regeneration
 // benchmarks are deliberately excluded — they are too slow for a
 // -benchtime 200ms gate.
-const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkDiffPixelsFullHD|BenchmarkFillSprite|` +
+const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkFillSprite|` +
 	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
 	`BenchmarkPaletteBlit|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|BenchmarkPaletteScroll|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +

@@ -163,10 +163,9 @@ type Model struct {
 	batch       []framebuffer.Rect // the painters' FillRects batch, reused
 	batchColors []framebuffer.Color
 
-	// State memoization (see initcache.go): when enabled, early content
-	// states alias memoized palette-compressed screens instead of
-	// repainting them.
-	stateMemo  bool
+	// State memoization (see initcache.go): on a tile-tracked surface,
+	// early content states alias memoized palette-compressed screens
+	// instead of repainting them.
 	memoHits   uint64
 	memoMisses uint64
 
@@ -269,16 +268,9 @@ func (m *Model) SetStall(fn func(sim.Time) bool) { m.stall = fn }
 // Surface exposes the model's surface for statistics.
 func (m *Model) Surface() *surface.Surface { return m.srf }
 
-// SetStateMemo enables or disables intermediate-state screen memoization
-// (see initcache.go). The install screen (seq 0) is memoized regardless —
-// that path predates the state memo and is oracle-tested on its own. The
-// hit path aliases palette-compressed snapshots, so callers should only
-// enable it on palette-enabled devices.
-func (m *Model) SetStateMemo(on bool) { m.stateMemo = on }
-
 // MemoStats returns the model's lifetime state-memo hit and miss counts.
-// Both are zero while the memo is disabled or once content has advanced
-// past the memoizable window.
+// Both are zero on a plain surface buffer, where the state memo is off,
+// and once content has advanced past the memoizable window.
 func (m *Model) MemoStats() (hits, misses uint64) { return m.memoHits, m.memoMisses }
 
 // HandleTouch feeds a touch event to the model (wire it to the input

@@ -16,9 +16,9 @@ import (
 // key and later renders alias it copy-on-write (Buffer.ShareFrom /
 // ShareFromDamage) — a memo hit writes no pixels at all.
 //
-// seq 0 is the install screen (always memoized, as before); seq > 0
-// entries are the intermediate-state extension, admitted for feed apps
-// only (see memoAdmit) and stored only as palette-compressed snapshots
+// seq 0 is the install screen (memoized on either pixel pipeline);
+// seq > 0 entries are the intermediate-state extension, admitted for feed
+// apps only (see memoAdmit). Every entry is a palette-compressed snapshot
 // (NewPaletteSnapshot), so a cached screen costs ~0.6 MB instead of
 // ~3.7 MB.
 //
@@ -113,9 +113,10 @@ func lookupStateScreen(key stateKey) *framebuffer.Buffer {
 }
 
 // storeStateScreen snapshots a freshly painted screen for key. Screens
-// past the install state are only stored when they palette-compress in
-// full; the install screen (seq 0) falls back to a raw snapshot so
-// install memoization never degrades, whatever the content.
+// are only stored when they palette-compress in full; a screen that does
+// not is repainted by every install. Every catalog install screen
+// compresses at every screen size (TestInstallScreensCompress), so
+// install memoization does not degrade.
 func storeStateScreen(key stateKey, buf *framebuffer.Buffer) {
 	stateScreenMu.RLock()
 	_, dup := stateScreens[key]
@@ -126,11 +127,7 @@ func storeStateScreen(key stateKey, buf *framebuffer.Buffer) {
 	}
 	snapshot := framebuffer.NewPaletteSnapshot(buf)
 	if snapshot == nil {
-		if key.seq != 0 {
-			return
-		}
-		snapshot = framebuffer.New(buf.Width(), buf.Height())
-		snapshot.CopyFrom(buf)
+		return
 	}
 	stateScreenMu.Lock()
 	if _, dup := stateScreens[key]; !dup && len(stateScreens) < stateScreenBudget {

@@ -1,6 +1,10 @@
 package app
 
-import "testing"
+import (
+	"testing"
+
+	"ccdem/internal/framebuffer"
+)
 
 // TestStateScreenBudgetNeverBinds pins the invariant the memo's
 // determinism rests on: admission is a pure function of the key, so per
@@ -45,5 +49,40 @@ func TestMemoAdmitIsKeyPure(t *testing.T) {
 	}
 	if !memoAdmit(stateKey{name: "x", style: StyleFeed, w: 720, h: 1280, seq: stateSeqCap}) {
 		t.Error("feed state at stateSeqCap not admitted")
+	}
+}
+
+// TestInstallScreensCompress pins the property install memoization rests
+// on: storeStateScreen stores only screens that palette-compress in full,
+// so an install screen that did not would be repainted by every install.
+// The install screen of every catalog app, painted in each of the four
+// styles at phone and tablet sizes, small and odd sizes with partial edge
+// tiles, and one-tile-thin strips, must compress. Whether a screen
+// compresses depends on its content alone, so painting on tracked buffers
+// covers the plain-buffer pipeline too.
+func TestInstallScreensCompress(t *testing.T) {
+	sizes := [][2]int{{720, 1280}, {1080, 1920}, {64, 64}, {33, 47}, {16, 16}, {9, 200}, {200, 9}}
+	if testing.Short() {
+		sizes = sizes[2:]
+	}
+	for _, p := range Catalog() {
+		for _, style := range []PaintStyle{StyleFeed, StyleSprites, StyleVideo, StylePulse} {
+			p.Style = style
+			for _, sz := range sizes {
+				m, err := New(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m.w, m.h = sz[0], sz[1]
+				m.initSprites()
+				buf := framebuffer.New(m.w, m.h)
+				buf.EnableTiles()
+				m.paintInitial(buf)
+				if framebuffer.NewPaletteSnapshot(buf) == nil {
+					t.Errorf("%s painted as style %v at %dx%d: install screen does not palette-compress",
+						p.Name, style, m.w, m.h)
+				}
+			}
+		}
 	}
 }

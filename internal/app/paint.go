@@ -77,27 +77,7 @@ func (m *Model) bgColor() framebuffer.Color {
 // copy-on-write (see initcache.go) instead of repainting ~1 MB of pixels.
 func (m *Model) initPaint() {
 	buf := m.srf.Buffer()
-	if m.p.Style == StyleSprites {
-		// Sprite kinematic state always initializes from the rng — memo
-		// hit or not — so every install performs identical draws.
-		sz := m.spriteSz()
-		rng := m.ensureRNG()
-		m.sprites = make([]spriteState, spriteCount)
-		for i := range m.sprites {
-			m.sprites[i] = spriteState{
-				x:  rng.Intn(max(m.w-sz, 1)),
-				y:  rng.Intn(max(m.h-sz, 1)),
-				dx: 12 + rng.Intn(10),
-				dy: 12 + rng.Intn(10),
-			}
-			if rng.Intn(2) == 0 {
-				m.sprites[i].dx = -m.sprites[i].dx
-			}
-			if rng.Intn(2) == 0 {
-				m.sprites[i].dy = -m.sprites[i].dy
-			}
-		}
-	}
+	m.initSprites()
 	key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h}
 	if memo := lookupStateScreen(key); memo != nil {
 		buf.ShareFrom(memo)
@@ -110,6 +90,32 @@ func (m *Model) initPaint() {
 	}
 	m.paintInitial(buf)
 	storeStateScreen(key, buf)
+}
+
+// initSprites draws a sprite app's kinematic state from the rng. It runs
+// on every install — memo hit or not — so every install performs
+// identical draws.
+func (m *Model) initSprites() {
+	if m.p.Style != StyleSprites {
+		return
+	}
+	sz := m.spriteSz()
+	rng := m.ensureRNG()
+	m.sprites = make([]spriteState, spriteCount)
+	for i := range m.sprites {
+		m.sprites[i] = spriteState{
+			x:  rng.Intn(max(m.w-sz, 1)),
+			y:  rng.Intn(max(m.h-sz, 1)),
+			dx: 12 + rng.Intn(10),
+			dy: 12 + rng.Intn(10),
+		}
+		if rng.Intn(2) == 0 {
+			m.sprites[i].dx = -m.sprites[i].dx
+		}
+		if rng.Intn(2) == 0 {
+			m.sprites[i].dy = -m.sprites[i].dy
+		}
+	}
 }
 
 // paintInitial renders the initial screen from scratch (the memo-miss
@@ -163,18 +169,20 @@ func (m *Model) advanceContent() {
 // paint renders the state of contentSeq into buf, accumulating the
 // damaged rectangles into m.damage.
 //
-// With the state memo enabled and the content still in the memoizable
-// window, the screen for contentSeq may already exist (painted earlier by
-// any device): the hit path records exactly the damage painting would
-// have reported and aliases the memo copy-on-write instead of writing
-// pixels. The miss path paints normally and publishes the result. Both
+// The state memo runs when buf tracks tiles — the hit path aliases
+// palette-compressed snapshots, the tile pipeline's representation. The
+// install screen (seq 0, see initPaint) is memoized on either pipeline.
+// With the content still in the memoizable window, the screen for
+// contentSeq may already exist (painted earlier by any device): the hit
+// path records exactly the damage painting would have reported and
+// aliases the memo copy-on-write instead of writing pixels. The miss path paints normally and publishes the result. Both
 // paths report identical damage and render cost, so every downstream
 // decision — dirty-pixel accounting, compose, metering — is byte-for-byte
 // the same with and without the memo (the golden and differential tests
 // hold this line).
 func (m *Model) paint(buf *framebuffer.Buffer) {
 	key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h, seq: m.contentSeq}
-	if m.stateMemo && memoAdmit(key) {
+	if buf.TilesEnabled() && memoAdmit(key) {
 		if memo := lookupStateScreen(key); memo != nil {
 			m.memoHit(memo, buf)
 			return

@@ -191,3 +191,30 @@ func TestResumeBeforeAttachPanics(t *testing.T) {
 	}()
 	m.Resume()
 }
+
+// TestStateMemoFollowsTracking pins where the state memo runs: a feed app
+// on a plain surface buffer (the brute-force oracle's) paints every
+// content state itself, and the same app on a tracked buffer goes
+// through the memo.
+func TestStateMemoFollowsTracking(t *testing.T) {
+	for _, tiles := range []bool{false, true} {
+		eng := sim.NewEngine()
+		mgr := surface.NewManager(eng, 240, 320)
+		mgr.SetTiles(tiles)
+		m, err := New(Params{
+			Name: "memotest", Cat: General, Style: StyleFeed,
+			IdleContentFPS: 10, IdleInvalidateFPS: 20,
+			TouchContentFPS: 30, TouchInvalidateFPS: 40,
+			Tail: 300 * sim.Millisecond,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Attach(eng, mgr)
+		eng.Every(sim.Hz(60), sim.Hz(60), func() { mgr.VSync(eng.Now(), 60) })
+		eng.RunUntil(sim.Second)
+		if hits, misses := m.MemoStats(); (hits+misses > 0) != tiles {
+			t.Errorf("tracked=%v: memo hits %d, misses %d", tiles, hits, misses)
+		}
+	}
+}

@@ -54,19 +54,18 @@ type MeterConfig struct {
 	// committed frame. A fault hook forces the naive comparison path
 	// (the tile delta path has no per-frame full lattice to corrupt).
 	Fault func(t sim.Time, cur, prev []framebuffer.Color, primed bool)
-	// Tiles enables the tile-delta comparison path: when the observed
-	// buffer tracks tiles (framebuffer.EnableTiles), only lattice points
-	// inside tiles written since the previous observation are compared.
-	// Verdicts, first-diff indices and all cost/event accounting are
-	// identical to the naive full-lattice path; buffers without tile
-	// tracking fall back to it transparently.
-	Tiles bool
 }
 
 // Meter measures the content rate: the number of frames per second whose
 // pixels actually differ from the previous frame. It observes every
 // framebuffer update (latched frame), samples the comparison grid, and
 // classifies the frame as content or redundant.
+//
+// When the observed buffer tracks tiles (framebuffer.EnableTiles) and no
+// fault hook is set, the meter takes the tile-delta path: only lattice
+// points inside tiles written since the previous observation are
+// compared. Verdicts, first-diff indices and all cost/event accounting
+// are identical to the naive full-lattice path.
 type Meter struct {
 	cfg     MeterConfig
 	db      *framebuffer.DoubleBuffer
@@ -76,11 +75,11 @@ type Meter struct {
 	samples int      // cached cfg.Grid.Samples()
 	fullDur sim.Time // cached cfg.Cost.Duration(samples): the full-sweep cost
 
-	// Tile-delta comparison state (cfg.Tiles without a fault hook):
+	// Tile-delta comparison state: tl and committed are built on the
+	// first tiled observation and kept across Resets on the same grid;
 	// committed holds the lattice values of the last observed frame,
 	// updated in place by DeltaCompare; lastBuf/lastGen identify the
 	// buffer and generation of the previous observation.
-	tiles     bool
 	tl        *framebuffer.TileLattice
 	committed []framebuffer.Color
 	tprimed   bool
@@ -109,25 +108,7 @@ func NewMeter(cfg MeterConfig) (*Meter, error) {
 		samples: cfg.Grid.Samples(),
 		fullDur: cfg.Cost.Duration(cfg.Grid.Samples()),
 	}
-	m.initTiles(cfg, false)
 	return m, nil
-}
-
-// initTiles (re)builds the tile-delta state for cfg. sameGrid reports
-// whether the previous lattice matches cfg.Grid, allowing reuse.
-func (m *Meter) initTiles(cfg MeterConfig, sameGrid bool) {
-	m.tiles = cfg.Tiles && cfg.Fault == nil
-	m.tprimed = false
-	m.lastBuf = nil
-	m.lastGen = 0
-	if !m.tiles {
-		return
-	}
-	if sameGrid && m.tl != nil {
-		return
-	}
-	m.tl = framebuffer.NewTileLattice(cfg.Grid)
-	m.committed = make([]framebuffer.Color, cfg.Grid.Samples())
 }
 
 // Reset reconfigures the meter in place for a new run: rate counters,
@@ -158,7 +139,10 @@ func (m *Meter) Reset(cfg MeterConfig) error {
 	nw, nh := cfg.Grid.ScreenDims()
 	oc, orr := m.cfg.Grid.Dims()
 	nc, nr := cfg.Grid.Dims()
-	m.initTiles(cfg, ow == nw && oh == nh && oc == nc && orr == nr)
+	if ow != nw || oh != nh || oc != nc || orr != nr {
+		m.tl, m.committed = nil, nil
+	}
+	m.tprimed, m.lastBuf, m.lastGen = false, nil, 0
 	m.cfg = cfg
 	m.samples = cfg.Grid.Samples()
 	m.fullDur = cfg.Cost.Duration(cfg.Grid.Samples())
@@ -172,7 +156,7 @@ func (m *Meter) Reset(cfg MeterConfig) error {
 // whether the frame carried new content. The very first frame observed is
 // always content (there is nothing to compare against).
 func (m *Meter) ObserveFrame(t sim.Time, fb *framebuffer.Buffer) bool {
-	if m.tiles && fb.TilesEnabled() {
+	if m.cfg.Fault == nil && fb.TilesEnabled() {
 		return m.observeTiled(t, fb)
 	}
 	return m.observeFull(t, fb)
@@ -210,15 +194,19 @@ func (m *Meter) observeFull(t sim.Time, fb *framebuffer.Buffer) bool {
 // first-diff index are exactly those of a full scan because an unwritten
 // tile is bitwise unchanged and committed holds its last observed values
 // (see framebuffer.TileLattice.DeltaCompare). Observing a different
-// buffer than last time — the compose-mode demotion from direct scanout
-// — falls back to a full gather and compare for that frame, exactly what
-// the naive path computes.
+// buffer than last time — the demotion from direct scanout — falls back
+// to a full gather and compare for that frame, exactly what the naive
+// path computes.
 func (m *Meter) observeTiled(t sim.Time, fb *framebuffer.Buffer) bool {
 	isContent := true
 	comparedPx := m.samples
 	switch {
 	case !m.tprimed:
 		// First observation: gather the full lattice; always content.
+		if m.tl == nil {
+			m.tl = framebuffer.NewTileLattice(m.cfg.Grid)
+			m.committed = make([]framebuffer.Color, m.samples)
+		}
 		m.tl.Prime(fb, m.committed)
 		m.tprimed = true
 	case fb != m.lastBuf:

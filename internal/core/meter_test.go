@@ -212,13 +212,14 @@ func BenchmarkTileCompare(b *testing.B) {
 				Grid:   framebuffer.GridForSamples(720, 1280, 9216),
 				Window: sim.Second,
 				Cost:   power.DefaultCompareCost(),
-				Tiles:  bc.tiles,
 			})
 			if err != nil {
 				b.Fatal(err)
 			}
 			fb := framebuffer.New(720, 1280)
-			fb.EnableTiles()
+			if bc.tiles {
+				fb.EnableTiles()
+			}
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				fb.Fill(framebuffer.Rect{X0: i % 688, Y0: i % 1248, X1: i%688 + 32, Y1: i%1248 + 32},
@@ -239,7 +240,6 @@ func TestMeterObserveTiledZeroAlloc(t *testing.T) {
 		Grid:   framebuffer.GridForSamples(720, 1280, 9216),
 		Window: sim.Second,
 		Cost:   power.DefaultCompareCost(),
-		Tiles:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

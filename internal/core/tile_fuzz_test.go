@@ -19,32 +19,40 @@ func fuzzMeterRect(rng *rand.Rand, w, h int) framebuffer.Rect {
 	}
 }
 
-// fuzzMutate applies one random mutation to buf, covering every write
-// path that maintains tile generations.
-func fuzzMutate(rng *rand.Rand, buf, aux *framebuffer.Buffer) {
-	w, h := buf.Width(), buf.Height()
+// fuzzMutate applies one random mutation to both twins, covering every
+// write path that maintains tile generations.
+func fuzzMutate(rng *rand.Rand, twins [2]*framebuffer.Buffer, aux *framebuffer.Buffer) {
+	w, h := twins[0].Width(), twins[0].Height()
+	var mutate func(buf *framebuffer.Buffer)
 	switch rng.Intn(5) {
 	case 0:
-		buf.Fill(fuzzMeterRect(rng, w, h), framebuffer.Color(rng.Uint32()&0x00ffffff))
+		r, c := fuzzMeterRect(rng, w, h), framebuffer.Color(rng.Uint32()&0x00ffffff)
+		mutate = func(buf *framebuffer.Buffer) { buf.Fill(r, c) }
 	case 1:
-		buf.Set(rng.Intn(w), rng.Intn(h), framebuffer.Color(rng.Uint32()&0x00ffffff))
+		x, y, c := rng.Intn(w), rng.Intn(h), framebuffer.Color(rng.Uint32()&0x00ffffff)
+		mutate = func(buf *framebuffer.Buffer) { buf.Set(x, y, c) }
 	case 2:
-		buf.ScrollVert(fuzzMeterRect(rng, w, h), rng.Intn(2*h+1)-h)
+		r, dy := fuzzMeterRect(rng, w, h), rng.Intn(2*h+1)-h
+		mutate = func(buf *framebuffer.Buffer) { buf.ScrollVert(r, dy) }
 	case 3:
-		sr := fuzzMeterRect(rng, w, h)
-		buf.Blit(aux, sr, rng.Intn(w+10)-5, rng.Intn(h+10)-5)
+		sr, dx, dy := fuzzMeterRect(rng, w, h), rng.Intn(w+10)-5, rng.Intn(h+10)-5
+		mutate = func(buf *framebuffer.Buffer) { buf.Blit(aux, sr, dx, dy) }
 	default:
-		buf.CopyFrom(aux)
+		mutate = func(buf *framebuffer.Buffer) { buf.CopyFrom(aux) }
+	}
+	for _, buf := range twins {
+		mutate(buf)
 	}
 }
 
 // FuzzTileCompare is the meter differential fuzzer: a tile-delta meter
-// and a naive full-lattice meter observe the same framebuffer through a
-// random mutation/observe/buffer-switch history. Every per-frame verdict,
-// the lifetime totals and the accumulated modeled compare time (which
-// encodes the early-exit comparedPx of every observation) must match —
-// the tile path merely avoids reading pixels the generations prove
-// unchanged.
+// observing a tracked framebuffer and a naive full-lattice meter
+// observing its plain twin follow the same random mutation/observe/
+// buffer-switch history. Every per-frame verdict, the lifetime totals
+// and the accumulated modeled compare time (which encodes the early-exit
+// comparedPx of every observation) must match — the tile path merely
+// avoids reading pixels the generations prove unchanged, and reads
+// compressed tiles through their palettes.
 func FuzzTileCompare(f *testing.F) {
 	f.Add(int64(1), []byte{0, 1, 0, 1, 1, 0}, uint8(64), uint8(64), uint16(256), false)
 	f.Add(int64(2), []byte{0, 0, 0}, uint8(33), uint8(47), uint16(100), true)
@@ -62,37 +70,40 @@ func FuzzTileCompare(f *testing.F) {
 
 		grid := framebuffer.GridForSamples(w, h, samples)
 		cost := power.DefaultCompareCost()
-		mkMeter := func(tiles bool) *Meter {
+		mkMeter := func() *Meter {
 			m, err := NewMeter(MeterConfig{
 				Grid:      grid,
 				Window:    sim.Second,
 				Cost:      cost,
 				EarlyExit: earlyExit,
-				Tiles:     tiles,
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
 			return m
 		}
-		tiled := mkMeter(true)
-		naive := mkMeter(false)
+		tiled := mkMeter()
+		naive := mkMeter()
 
 		rng := rand.New(rand.NewSource(seed))
-		mkBuf := func() *framebuffer.Buffer {
+		// mkTwins returns a tracked screen of random pixels and its plain
+		// twin.
+		mkTwins := func() [2]*framebuffer.Buffer {
 			b := framebuffer.New(w, h)
 			pix := b.Pix()
 			for i := range pix {
 				pix[i] = framebuffer.Color(rng.Uint32() & 0x00ffffff)
 			}
+			twin := framebuffer.New(w, h)
+			twin.CopyFrom(b)
 			b.EnableTiles()
-			return b
+			return [2]*framebuffer.Buffer{b, twin}
 		}
-		// Two tracked screens plus a blit source: switching the observed
-		// buffer mid-run exercises the meter's demotion fallback (the
+		// Two screens plus a blit source: switching the observed screen
+		// mid-run exercises the meter's demotion fallback (the
 		// direct-scanout → composed-framebuffer transition).
-		bufs := [2]*framebuffer.Buffer{mkBuf(), mkBuf()}
-		aux := mkBuf()
+		screens := [2][2]*framebuffer.Buffer{mkTwins(), mkTwins()}
+		aux := mkTwins()[0]
 		cur := 0
 
 		var now sim.Time
@@ -100,8 +111,8 @@ func FuzzTileCompare(f *testing.F) {
 			now += sim.Millisecond
 			switch op % 4 {
 			case 0: // observe the current screen on both meters
-				got := tiled.ObserveFrame(now, bufs[cur])
-				want := naive.ObserveFrame(now, bufs[cur])
+				got := tiled.ObserveFrame(now, screens[cur][0])
+				want := naive.ObserveFrame(now, screens[cur][1])
 				if got != want {
 					t.Fatalf("step %d (%dx%d, %d samples): tiled verdict %v, naive %v",
 						step, w, h, grid.Samples(), got, want)
@@ -111,7 +122,7 @@ func FuzzTileCompare(f *testing.F) {
 						step, gotT, wantT)
 				}
 			case 1, 2: // paint the current screen
-				fuzzMutate(rng, bufs[cur], aux)
+				fuzzMutate(rng, screens[cur], aux)
 			default: // switch which buffer the display scans out
 				cur = 1 - cur
 			}

@@ -126,10 +126,11 @@ type Cohort struct {
 	// on managed segments.
 	Hardened bool
 	// NaivePixels forces every device onto the brute-force pixel pipeline
-	// (ccdem.Config.NaivePixels): full-rect composition and full-lattice
-	// grid comparison. Campaign aggregates are byte-identical to the
-	// default tile-tracked pipeline; the knob exists as the differential
-	// oracle for CI and the tile-vs-naive equality tests.
+	// (ccdem.Config.NaivePixels): plain buffers, full-rect composition and
+	// full-lattice grid comparison, with no palettes and no state memo.
+	// Campaign aggregates are byte-identical to the default tile pipeline;
+	// the knob exists as the differential oracle for CI and the
+	// tile-vs-naive equality tests.
 	NaivePixels bool
 	// FailFast aborts the campaign on the first device failure (the old
 	// behaviour). The default keeps going: surviving devices aggregate,

@@ -40,10 +40,10 @@ var (
 
 // Buffer is a width × height pixel surface stored row-major.
 //
-// A buffer may additionally carry tile-tracking state (EnableTiles) and
-// may temporarily alias another buffer's pixels as a copy-on-write view
-// (ShareFrom); both are defined in tile.go. Plain buffers pay nothing
-// for either feature.
+// A buffer may additionally carry tile-tracking state with palette
+// compression (EnableTiles) and may temporarily alias another buffer's
+// pixels as a copy-on-write view (ShareFrom); both are defined in
+// tile.go. Plain buffers pay nothing for either feature.
 type Buffer struct {
 	w, h int
 	pix  []Color
@@ -100,7 +100,7 @@ func (b *Buffer) Set(x, y int, c Color) {
 		ti := (y>>TileShift)*t.cols + x>>TileShift
 		t.gen++
 		t.tgen[ti] = t.gen
-		if t.palOn && t.palN[ti] > 0 {
+		if t.palN[ti] > 0 {
 			if idx := t.palIndex(ti, c); idx >= 0 {
 				np := (y&tileMask)<<TileShift + x&tileMask
 				sh := uint(np&1) * 4
@@ -115,8 +115,8 @@ func (b *Buffer) Set(x, y int, c Color) {
 }
 
 // Fill sets every pixel in r (clamped to the buffer) to c and returns the
-// number of pixels written. On palette-enabled buffers the fill runs in
-// the index domain where it can (see fillPal); otherwise the first row is
+// number of pixels written. On tracked buffers the fill runs in the index
+// domain where it can (see fillPal); otherwise the first row is
 // painted by doubling copies and replicated into the remaining rows with
 // copy, so the bulk of the work runs at memmove speed instead of one
 // store per pixel.
@@ -126,7 +126,7 @@ func (b *Buffer) Fill(r Rect, c Color) int {
 		return 0
 	}
 	b.own()
-	if t := b.tiles; t != nil && t.palOn {
+	if b.tiles != nil {
 		b.fillPal(r, c)
 	} else {
 		b.fillRows(r, c)
@@ -138,8 +138,8 @@ func (b *Buffer) Fill(r Rect, c Color) int {
 // FillRects fills each rects[k] (clamped to the buffer) with colors[k],
 // in order, and returns the number of pixels written. Content, return
 // value and every tile generation equal those of the same sequence of
-// Fill calls; only the representation may differ. On palette-enabled
-// buffers each touched tile is resolved once for the whole batch (see
+// Fill calls; only the representation may differ. On tracked buffers
+// each touched tile is resolved once for the whole batch (see
 // fillBinned), so a tile that several rects cover is written once, into a
 // fresh palette, instead of collecting every rect's color until it
 // overflows to raw. The slices must have equal lengths.
@@ -147,7 +147,7 @@ func (b *Buffer) FillRects(rects []Rect, colors []Color) int {
 	if len(rects) != len(colors) {
 		panic(fmt.Sprintf("framebuffer: FillRects with %d rects and %d colors", len(rects), len(colors)))
 	}
-	if t := b.tiles; t == nil || !t.palOn {
+	if b.tiles == nil {
 		n := 0
 		for k, r := range rects {
 			n += b.Fill(r, colors[k])
@@ -182,7 +182,7 @@ func (b *Buffer) CopyFrom(src *Buffer) {
 
 // Blit copies the srcRect portion of src to b at destination (dx, dy),
 // clipping against both buffers. It returns the number of pixels copied.
-// On a palette-enabled buffer at a tile-aligned offset the copy runs tile
+// On a tracked buffer at a tile-aligned offset the copy runs tile
 // by tile (see blitPal), so compressed source tiles land as index planes;
 // otherwise the destination region is realized and copied as raw rows.
 func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
@@ -198,7 +198,7 @@ func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
 	sx := srcRect.X0 + (dst.X0 - dx)
 	sy := srcRect.Y0 + (dst.Y0 - dy)
 	b.own()
-	if t := b.tiles; t != nil && t.palOn && (dst.X0-sx)&tileMask == 0 && (dst.Y0-sy)&tileMask == 0 {
+	if b.tiles != nil && (dst.X0-sx)&tileMask == 0 && (dst.Y0-sy)&tileMask == 0 {
 		b.blitPal(src, sx, sy, dst)
 	} else {
 		b.realizeRegion(dst)
@@ -212,7 +212,7 @@ func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
 // (positive dy moves content down the screen, as when a user scrolls up a
 // list). Rows vacated by the shift are left untouched for the caller to
 // repaint. It returns the rectangle the caller must repaint. On a
-// palette-enabled buffer with compressed tiles the shift runs in the
+// tracked buffer with compressed tiles the shift runs in the
 // index domain (see scrollPal); otherwise rows move as raw pixels.
 func (b *Buffer) ScrollVert(r Rect, dy int) Rect {
 	r = r.Clamp(b.Bounds())
@@ -228,7 +228,7 @@ func (b *Buffer) ScrollVert(r Rect, dy int) Rect {
 	if dy < 0 {
 		moved, vacated = Rect{r.X0, r.Y0, r.X1, r.Y1 + dy}, Rect{r.X0, r.Y1 + dy, r.X1, r.Y1}
 	}
-	if t := b.tiles; t != nil && t.palOn && t.palTiles > 0 {
+	if t := b.tiles; t != nil && t.palTiles > 0 {
 		b.scrollPal(moved, dy)
 	} else {
 		b.moveRows(moved, dy)
@@ -272,77 +272,6 @@ func (b *Buffer) Equal(o *Buffer) bool {
 		}
 	}
 	return true
-}
-
-// DiffPixels counts pixels that differ between b and o, which must have the
-// same dimensions. It is the ground-truth comparison (the "all pixels" row
-// of the paper's Figure 6). Identical stretches — the common case when
-// comparing consecutive frames — are skipped eight pixels per branch via
-// the block kernel; only blocks that differ are rescanned to count.
-func (b *Buffer) DiffPixels(o *Buffer) int {
-	if b.w != o.w || b.h != o.h {
-		panic("framebuffer: DiffPixels size mismatch")
-	}
-	rb, ro := b.repr(), o.repr()
-	if (rb.tiles != nil && rb.tiles.palTiles > 0) || (ro.tiles != nil && ro.tiles.palTiles > 0) {
-		n := 0
-		for y := 0; y < b.h; y++ {
-			for x := 0; x < b.w; x++ {
-				if rb.colorAt(x, y) != ro.colorAt(x, y) {
-					n++
-				}
-			}
-		}
-		return n
-	}
-	a, c := rb.pix, ro.pix
-	n := 0
-	i := 0
-	for ; i+8 <= len(a); i += 8 {
-		x := a[i : i+8 : i+8]
-		y := c[i : i+8 : i+8]
-		d := (x[0] ^ y[0]) | (x[1] ^ y[1]) | (x[2] ^ y[2]) | (x[3] ^ y[3]) |
-			(x[4] ^ y[4]) | (x[5] ^ y[5]) | (x[6] ^ y[6]) | (x[7] ^ y[7])
-		if d == 0 {
-			continue
-		}
-		for j := 0; j < 8; j++ {
-			if x[j] != y[j] {
-				n++
-			}
-		}
-	}
-	for ; i < len(a); i++ {
-		if a[i] != c[i] {
-			n++
-		}
-	}
-	return n
-}
-
-// MeanLuminance returns the average Rec.601 luma over the whole buffer.
-// The OLED panel model consumes this.
-func (b *Buffer) MeanLuminance() float64 {
-	rb := b.repr()
-	if rb.tiles != nil && rb.tiles.palTiles > 0 {
-		// Decode in pixel order so the float accumulation is bit-identical
-		// to the raw scan whatever the representation.
-		sum := 0.0
-		for y := 0; y < rb.h; y++ {
-			for x := 0; x < rb.w; x++ {
-				sum += rb.colorAt(x, y).Luminance()
-			}
-		}
-		return sum / float64(rb.w*rb.h)
-	}
-	if len(rb.pix) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range rb.pix {
-		sum += p.Luminance()
-	}
-	return sum / float64(len(rb.pix))
 }
 
 func abs(v int) int {

@@ -3,7 +3,6 @@ package framebuffer
 import (
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestColorPacking(t *testing.T) {
@@ -61,16 +60,10 @@ func TestBufferCopyBlitEqual(t *testing.T) {
 	if !dst.Equal(src) {
 		t.Fatal("CopyFrom result not Equal")
 	}
-	if dst.DiffPixels(src) != 0 {
-		t.Error("DiffPixels after copy != 0")
-	}
 
 	dst.Set(0, 0, White)
 	if dst.Equal(src) {
 		t.Error("Equal after single-pixel change")
-	}
-	if dst.DiffPixels(src) != 1 {
-		t.Errorf("DiffPixels = %d, want 1", dst.DiffPixels(src))
 	}
 
 	// Blit the white square elsewhere.
@@ -140,36 +133,6 @@ func TestScrollVertWholeRegion(t *testing.T) {
 	}
 }
 
-func TestMeanLuminance(t *testing.T) {
-	b := New(2, 2)
-	b.FillAll(White)
-	if got := b.MeanLuminance(); got < 254 {
-		t.Errorf("all-white mean luminance = %v", got)
-	}
-	b.Fill(R(0, 0, 1, 2), Black) // half black
-	full := White.Luminance()
-	if got := b.MeanLuminance(); got < full/2-1 || got > full/2+1 {
-		t.Errorf("half-white mean luminance = %v, want ≈%v", got, full/2)
-	}
-}
-
-// Property: Fill then DiffPixels against a copy equals the filled area,
-// when the fill color differs from the prior content.
-func TestFillDiffProperty(t *testing.T) {
-	f := func(x0, y0, w, h uint8) bool {
-		b := New(64, 64)
-		b.FillAll(RGB(9, 9, 9))
-		before := New(64, 64)
-		before.CopyFrom(b)
-		r := R(int(x0%64), int(y0%64), int(x0%64)+int(w%32), int(y0%64)+int(h%32))
-		n := b.Fill(r, White)
-		return b.DiffPixels(before) == n && n == r.Clamp(b.Bounds()).Area()
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: ScrollVert preserves the multiset of surviving rows.
 func TestScrollPreservesRowsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
@@ -209,16 +172,6 @@ func TestNewPanicsOnBadSize(t *testing.T) {
 		}
 	}()
 	New(0, 5)
-}
-
-func BenchmarkDiffPixelsFullHD(b *testing.B) {
-	x := New(720, 1280)
-	y := New(720, 1280)
-	y.Set(100, 100, White)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		x.DiffPixels(y)
-	}
 }
 
 func BenchmarkFillSprite(b *testing.B) {

@@ -73,20 +73,17 @@ func randFillBatch(rng *rand.Rand, w, h int, narrow []Color, rects []Rect, color
 	return rects, colors
 }
 
-// fillTwins holds a buffer driven by FillRects and its twin driven by the
-// same rects through one Fill each.
+// fillTwins holds a tracked buffer driven by FillRects and its tracked
+// twin driven by the same rects through one Fill each. (On a plain buffer
+// FillRects is that Fill sequence.)
 type fillTwins struct {
 	rects, fill *Buffer
 }
 
-func newFillTwins(w, h int, palette bool) fillTwins {
+func newFillTwins(w, h int) fillTwins {
 	f := fillTwins{New(w, h), New(w, h)}
-	for _, b := range []*Buffer{f.rects, f.fill} {
-		b.EnableTiles()
-		if palette {
-			b.EnablePalettes()
-		}
-	}
+	f.rects.EnableTiles()
+	f.fill.EnableTiles()
 	return f
 }
 
@@ -110,8 +107,8 @@ func (f fillTwins) check(t *testing.T, step int) {
 	checkPalState(t, step, f.rects)
 }
 
-// checkSame compares every pixel, the buffer generation and every tile
-// generation of buffer a against its twin b.
+// checkSame compares every pixel of buffer a against its twin b and, when
+// both track tiles, the buffer generation and every tile generation.
 func checkSame(t *testing.T, step int, a, b *Buffer) {
 	t.Helper()
 	for y := 0; y < a.h; y++ {
@@ -120,6 +117,9 @@ func checkSame(t *testing.T, step int, a, b *Buffer) {
 				t.Fatalf("step %d: At(%d,%d) = %08x, twin %08x", step, x, y, ca, cb)
 			}
 		}
+	}
+	if !a.TilesEnabled() || !b.TilesEnabled() {
+		return
 	}
 	if a.Gen() != b.Gen() {
 		t.Fatalf("step %d: Gen = %d, twin %d", step, a.Gen(), b.Gen())
@@ -131,14 +131,14 @@ func checkSame(t *testing.T, step int, a, b *Buffer) {
 	}
 }
 
-// checkPalState checks a palette buffer's bookkeeping invariants:
+// checkPalState checks a tracked buffer's bookkeeping invariants:
 // palTiles counts the compressed tiles, a solid tile (palN == 1) has an
 // all-zero plane, and a compressed edge tile has zero nibbles outside the
 // screen.
 func checkPalState(t *testing.T, step int, a *Buffer) {
 	t.Helper()
 	ts := a.tiles
-	if !ts.palOn || a.shared != nil {
+	if ts == nil || a.shared != nil {
 		return
 	}
 	n := 0
@@ -162,9 +162,9 @@ func checkPalState(t *testing.T, step int, a *Buffer) {
 
 // TestFillRectsMatchesFill holds FillRects to the Fill sequence it
 // replaces: the same pixels, return value and tile generations after
-// every batch, on palette and raw-tile buffers, from 8×8 to 107×120 and at
-// 720×1280, over fresh, recycled and copy-on-write-shared buffers whose
-// tiles already mix solid, multi-color and promoted raw representations.
+// every batch, from 8×8 to 107×120 and at 720×1280, over fresh, recycled
+// and copy-on-write-shared buffers whose tiles already mix solid,
+// multi-color and promoted raw representations.
 func TestFillRectsMatchesFill(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -180,7 +180,7 @@ func TestFillRectsMatchesFill(t *testing.T) {
 		if seed%40 == 0 {
 			w, h, batches = 720, 1280, 3
 		}
-		f := newFillTwins(w, h, seed%4 != 3)
+		f := newFillTwins(w, h)
 		// Prime a mixed representation with single fills of both kinds.
 		for n := rng.Intn(8); n > 0; n-- {
 			rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
@@ -196,7 +196,6 @@ func TestFillRectsMatchesFill(t *testing.T) {
 		case 2:
 			src := New(w, h)
 			src.EnableTiles()
-			src.EnablePalettes()
 			rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
 			src.FillRects(rects, colors)
 			f.rects.ShareFrom(src)
@@ -223,9 +222,9 @@ func TestFillRectsMatchesFill(t *testing.T) {
 // stays shared and no generation moves.
 func TestFillRectsEmptyBatchStaysShared(t *testing.T) {
 	src := New(40, 40)
-	src.EnablePalettes()
+	src.EnableTiles()
 	view := New(40, 40)
-	view.EnablePalettes()
+	view.EnableTiles()
 	view.ShareFrom(src)
 	gen := view.Gen()
 	if n := view.FillRects([]Rect{R(50, 0, 60, 10), R(5, 5, 5, 9), {}}, []Color{1, 2, 3}); n != 0 {
@@ -256,7 +255,7 @@ func TestFillRectsLengthMismatchPanics(t *testing.T) {
 func TestFillRectsVideoStaysCompressed(t *testing.T) {
 	rects := videoBands()
 	colors := make([]Color, len(rects))
-	f := newFillTwins(720, 1280, true)
+	f := newFillTwins(720, 1280)
 	f.rects.Recycle() // every tile solid, as a device's framebuffer starts a session
 	f.fill.Recycle()
 	for frame := 0; frame < 20; frame++ {

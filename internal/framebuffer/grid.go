@@ -174,8 +174,8 @@ func SamplesFirstDiff(a, b []Color) int {
 	return firstDiff(a, b)
 }
 
-// firstDiff is the shared block-compare kernel behind SamplesFirstDiff,
-// Buffer.Equal and Buffer.DiffPixels. Slices must have equal length.
+// firstDiff is the shared block-compare kernel behind SamplesFirstDiff
+// and Buffer.Equal. Slices must have equal length.
 func firstDiff(a, b []Color) int {
 	i := 0
 	for ; i+8 <= len(a); i += 8 {

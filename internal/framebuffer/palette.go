@@ -13,8 +13,9 @@ import (
 // pixels — and every kernel that streams tile bytes (blit, compare,
 // fill, snapshot) touches 8× less memory.
 //
-// Representation contract. Palette compression is a pure representation
-// change, invisible in content:
+// Representation contract. Every tile-tracked buffer (EnableTiles) carries
+// palettes, and compression is a pure representation change, invisible in
+// content:
 //
 //   - When palN[i] > 0, tile i's content is DEFINED by (plane, pal) and
 //     the pixel array is stale under it. When palN[i] == 0 the pixel
@@ -52,39 +53,6 @@ func (b *Buffer) repr() *Buffer {
 	}
 	return b
 }
-
-// EnablePalettes turns on palette compression for b (implies tile
-// tracking). Idempotent; all tiles start raw. Pooled buffers keep their
-// palette state across reuse under the same contract as their pixels.
-func (b *Buffer) EnablePalettes() {
-	b.EnableTiles()
-	t := b.tiles
-	if t.palOn {
-		return
-	}
-	t.palOn = true
-	if t.palN == nil {
-		n := t.cols * t.rows
-		t.palN = make([]uint8, n)
-		t.plane = make([]byte, n*planeTileBytes)
-		t.pal = make([]Color, n*PaletteCap)
-	}
-}
-
-// DisablePalettes realizes every compressed tile back to raw pixels and
-// turns palette compression off — the raw-tile twin the palette fuzzers
-// diff against. Safe on buffers that never had palettes.
-func (b *Buffer) DisablePalettes() {
-	if b.tiles == nil || !b.tiles.palOn {
-		return
-	}
-	b.own()
-	b.realizeAll()
-	b.tiles.palOn = false
-}
-
-// PalettesEnabled reports whether palette compression is enabled on b.
-func (b *Buffer) PalettesEnabled() bool { return b.tiles != nil && b.tiles.palOn }
 
 // PaletteTiles returns the number of tiles currently stored in
 // palette-compressed form, read through the content representation — a
@@ -304,7 +272,7 @@ func nibMask(a, b int) uint64 {
 	return (1<<(4*b) - 1) &^ (1<<(4*a) - 1)
 }
 
-// fillPal is Fill's kernel for palette-enabled buffers: fillTile over
+// fillPal is Fill's kernel for tracked buffers: fillTile over
 // every tile r touches. r must be clamped and non-empty; b must be
 // materialized.
 func (b *Buffer) fillPal(r Rect, c Color) {
@@ -319,7 +287,7 @@ func (b *Buffer) fillPal(r Rect, c Color) {
 }
 
 // fillTile fills clip, the non-empty part of a fill inside tile i (rect
-// tr), with c on a palette-enabled buffer: a fully covered tile resets to
+// tr), with c on a tracked buffer: a fully covered tile resets to
 // a fresh single-color palette (a 512-byte memset instead of a 4 KB pixel
 // fill), a partially covered compressed tile takes an index fill when c
 // fits its palette (promoting to raw on overflow), and a raw tile takes
@@ -349,7 +317,7 @@ func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
 	b.fillRows(clip, c)
 }
 
-// fillBinned is FillRects' kernel for palette-enabled buffers. It bins
+// fillBinned is FillRects' kernel for tracked buffers. It bins
 // the clamped rects by tile in call order, marks each rect's tiles at its
 // own generation exactly as its Fill would, and then resolves every
 // touched tile once: a tile one rect reaches takes fillTile; a tile its
@@ -489,21 +457,19 @@ func (b *Buffer) fillCovered(i int, tr Rect, rects []Rect, colors []Color, ks []
 }
 
 // copyAllFrom copies src's full content into b, staying in the palette
-// domain wholesale when both sides support it. b must be materialized
+// domain wholesale when both sides are tracked. b must be materialized
 // and match src's dimensions; src is read through its representation.
 func (b *Buffer) copyAllFrom(src *Buffer) {
 	rs := src.repr()
-	st := rs.tiles
-	bt := b.tiles
-	if st == nil || st.palTiles == 0 {
+	st, bt := rs.tiles, b.tiles
+	switch {
+	case st == nil || st.palTiles == 0:
 		copy(b.pix, rs.pix)
 		if bt != nil {
 			// Stale palettes must not shadow the fresh raw pixels.
 			bt.dropPalettes()
 		}
-		return
-	}
-	if bt != nil && bt.palOn {
+	case bt != nil:
 		copy(bt.palN, st.palN)
 		copy(bt.plane, st.plane)
 		copy(bt.pal, st.pal)
@@ -511,30 +477,14 @@ func (b *Buffer) copyAllFrom(src *Buffer) {
 		if rs.pix != nil {
 			copy(b.pix, rs.pix)
 		}
-		return
-	}
-	// b cannot hold palettes: decode src tile by tile into raw rows.
-	for i := range st.palN {
-		tx, ty := i%st.cols, i/st.cols
-		r := Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}.
-			Clamp(b.Bounds())
-		if st.palN[i] > 0 {
-			plane, pal := st.tilePlane(i), st.tilePal(i)
-			for y := r.Y0; y < r.Y1; y++ {
-				decodeRun(plane, pal, (y&tileMask)<<TileShift+r.X0&tileMask, b.pix[y*b.w+r.X0:y*b.w+r.X1])
-			}
-		} else {
-			for y := r.Y0; y < r.Y1; y++ {
-				copy(b.pix[y*b.w+r.X0:y*b.w+r.X1], rs.pix[y*b.w+r.X0:y*b.w+r.X1])
-			}
+	default: // b is plain: decode src row by row
+		for y := 0; y < b.h; y++ {
+			rs.readRow(b.pix[y*b.w:(y+1)*b.w], 0, y, b.w)
 		}
-	}
-	if bt != nil {
-		bt.dropPalettes()
 	}
 }
 
-// blitPal is Blit's kernel for a palette-enabled buffer at a tile-aligned
+// blitPal is Blit's kernel for a tracked buffer at a tile-aligned
 // offset: src's (sx, sy) lands on dst's corner, both clipped, and dst
 // minus (sx, sy) is a multiple of the tile size. Each tile that dst covers
 // whole takes copyTile; a partly covered tile is realized and takes raw
@@ -584,7 +534,7 @@ func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
 	b.copyRows(src, sx, sy, tr)
 }
 
-// scrollPal is ScrollVert's kernel for palette-enabled buffers: every
+// scrollPal is ScrollVert's kernel for tracked buffers: every
 // tile that moved (the rect taking content from dy rows away) overlaps is
 // rebuilt by scrollTile, and a tile it cannot rebuild is realized and
 // takes raw rows. Tile rows run in read-before-write order — bottom-up
@@ -670,7 +620,7 @@ func (b *Buffer) scrollTile(i int, tr, mv Rect, dy int) bool {
 func (b *Buffer) EncodeAll() {
 	b.own()
 	t := b.tiles
-	if t == nil || !t.palOn {
+	if t == nil {
 		return
 	}
 	for i := range t.palN {
@@ -694,7 +644,7 @@ func (b *Buffer) EncodeAll() {
 // materializing, the promotion counter restarts, and every tile is
 // touched, since its content changed.
 //
-// On a palette-enabled buffer the blanking stays in the palette domain:
+// On a tracked buffer the blanking stays in the palette domain:
 // every tile becomes a solid one-color palette of zero, so the hand-off
 // clears at most 512 bytes of index plane per tile — and nothing at all
 // for tiles already solid, whose planes are zero by the palN==1
@@ -713,28 +663,20 @@ func (b *Buffer) Recycle() {
 		b.pix = make([]Color, b.w*b.h)
 	}
 	t := b.tiles
-	if t != nil && t.palOn {
-		for i := range t.palN {
-			if t.palN[i] != 1 {
-				plane := t.tilePlane(i)
-				for k := range plane {
-					plane[k] = 0
-				}
-				t.palN[i] = 1
-			}
-			t.tilePal(i)[0] = 0
-		}
-		t.palTiles = t.cols * t.rows
-		t.promotions = 0
-		b.touchAll()
+	if t == nil {
+		clear(b.pix)
 		return
 	}
-	for i := range b.pix {
-		b.pix[i] = 0
+	for i := range t.palN {
+		if t.palN[i] != 1 {
+			clear(t.tilePlane(i))
+			t.palN[i] = 1
+		}
+		t.tilePal(i)[0] = 0
 	}
-	if t != nil {
-		b.touchAll()
-	}
+	t.palTiles = t.cols * t.rows
+	t.promotions = 0
+	b.touchAll()
 }
 
 // NewPaletteSnapshot builds a palette-compressed copy of src's current
@@ -747,19 +689,27 @@ func (b *Buffer) Recycle() {
 // in first-occurrence (row-major) order, and unused palette entries and
 // plane nibbles outside a partial edge tile stay zero. Raw source tiles
 // are encoded from their pixel rows in place; compressed source tiles are
-// re-indexed without decoding (see snapPal.remap).
+// re-indexed without decoding: their plane rows are copied and remapped in
+// place (see snapPal.remapRows), which visits indices in pixel order and
+// so builds the palette encoding the decoded pixels would.
 func NewPaletteSnapshot(src *Buffer) *Buffer {
 	b := &Buffer{w: src.w, h: src.h}
-	b.EnablePalettes()
+	b.EnableTiles()
 	t := b.tiles
 	rs := src.repr()
 	st := rs.tiles
 	for i := range t.palN {
 		r := b.TileRect(i)
 		p := snapPal{pal: t.tilePal(i)}
-		if st != nil && st.palTiles > 0 && st.palN[i] > 0 {
-			p.remap(t.tilePlane(i), st.tilePlane(i), st.tilePal(i), r.Dx(), r.Dy())
-		} else if !p.encodeRows(t.tilePlane(i), rs.pix, rs.w, r) {
+		plane := t.tilePlane(i)
+		if st != nil && st.palN[i] > 0 {
+			// A source palette holds at most PaletteCap colors, so the
+			// remap cannot overflow.
+			rows := plane[:r.Dy()*TileSize/2]
+			copy(rows, st.tilePlane(i))
+			ml, mh := nibSpan(0, r.Dx())
+			p.remapRows(rows, st.tilePal(i), ml, mh)
+		} else if !p.encodeRows(plane, rs.pix, rs.w, r) {
 			return nil
 		}
 		t.palN[i] = uint8(p.n)
@@ -770,16 +720,12 @@ func NewPaletteSnapshot(src *Buffer) *Buffer {
 
 // snapPal builds one tile palette in first-occurrence order — a snapshot
 // tile, or a tile FillRects or ScrollVert rebuilds — with a one-entry
-// cache of the last color looked up and, for a compressed snapshot source
-// tile, the map from source to snapshot indices.
+// cache of the last color looked up.
 type snapPal struct {
 	pal  []Color // the tile's PaletteCap entries, initially zero
 	n    int
 	last Color
 	idx  byte
-
-	src   idxMap // a compressed snapshot source tile (see remap)
-	moved bool   // some source index maps elsewhere
 }
 
 // idxMap maps the indices of a source tile's palette to those of a
@@ -946,98 +892,4 @@ func uniform(row []Color) bool {
 		}
 	}
 	return true
-}
-
-// remap re-indexes compressed source tile (splane, spal), whose content
-// is the dx×dy rect at the tile origin, into plane without decoding. A
-// first pass resolves each source index on its first occurrence in pixel
-// order, so the palette comes out exactly as encoding the decoded pixels
-// would build it; a second pass writes the plane — the source bytes as
-// they are when no index moved, else each byte through the map. The high
-// nibble past an odd-width row stays zero. At most PaletteCap source
-// indices map to at most as many colors, so remap cannot overflow.
-func (p *snapPal) remap(plane, splane []byte, spal []Color, dx, dy int) {
-	const rowBytes = TileSize / 2
-	span, rows := (dx+1)/2, dy
-	if dx == TileSize {
-		span, rows = dy*rowBytes, 1 // full-width rows are contiguous
-	}
-	odd := dx & 1
-	p.src.spal = spal
-	var last uint64
-	for y := 0; y < rows; y++ {
-		row := splane[y*rowBytes:][:span]
-		pairs := row[:span-odd]
-		for ; len(pairs) >= 8; pairs = pairs[8:] {
-			// A repeat of the last 8 bytes scanned holds no new index
-			// (last is a scanned word once anything is seen).
-			if w := binary.LittleEndian.Uint64(pairs); w != last || p.src.seen == 0 {
-				last = w
-				p.see(pairs[:8])
-			}
-		}
-		p.see(pairs)
-		if odd == 1 {
-			p.resolve(row[span-1] & 0xF) // its high nibble is outside the rect
-		}
-	}
-	from := &p.src.from
-	for y := 0; y < rows; y++ {
-		src, dst := splane[y*rowBytes:][:span], plane[y*rowBytes:][:span]
-		if p.moved {
-			for k, v := range src {
-				dst[k] = from[v&0xF] | from[v>>4]<<4
-			}
-		} else {
-			copy(dst, src)
-		}
-		if odd == 1 {
-			dst[span-1] &= 0xF
-		}
-	}
-}
-
-// see resolves the source indices of a run of pixel-pair bytes in order.
-func (p *snapPal) see(pairs []byte) {
-	for _, v := range pairs {
-		if lo, hi := v&0xF, v>>4; p.src.seen>>lo&(p.src.seen>>hi)&1 == 0 {
-			p.resolve(lo)
-			p.resolve(hi)
-		}
-	}
-}
-
-// resolve maps source index s to its color's snapshot index on first
-// sight. A source palette holds at most PaletteCap colors, so this cannot
-// overflow.
-func (p *snapPal) resolve(s byte) {
-	idx, _ := p.mapIdx(&p.src, s)
-	p.moved = p.moved || idx != s
-}
-
-// ShareFromDamage is ShareFrom for consecutive memoized content states:
-// b — currently holding state k, owned or already a view — becomes a
-// view of src (state k+1), and only tiles under the damage rects are
-// marked written. The caller guarantees the damage contract: rects cover
-// every pixel differing between states k and k+1, so the meter and
-// compositor see exactly the tile churn a real paint of the transition
-// would have caused, instead of a whole-screen invalidation.
-func (b *Buffer) ShareFromDamage(src *Buffer, rects []Rect) {
-	if b.w != src.w || b.h != src.h {
-		panic("framebuffer: ShareFromDamage size mismatch")
-	}
-	if src.shared != nil {
-		panic("framebuffer: ShareFromDamage of a buffer that is itself sharing")
-	}
-	if src == b {
-		panic("framebuffer: ShareFromDamage self")
-	}
-	if b.shared == nil {
-		b.spare = b.pix
-	}
-	b.shared = src
-	b.pix = src.pix
-	for _, r := range rects {
-		b.touch(r)
-	}
 }

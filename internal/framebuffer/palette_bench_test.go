@@ -17,12 +17,11 @@ func feedPaint(buf *Buffer) {
 
 // BenchmarkPaletteBlit measures full-screen composition of alternating
 // app screens — the memo-hit shape, where every tile differs and the
-// whole frame is copied — with Blit on the palette representation
-// against raw tiles. feedPaint leaves a fresh buffer's list tiles raw (its
-// 24-px rows never cover a whole tile), and only the second screen is
-// re-encoded, so the palette row alternates a screen of 512-byte index
-// planes plus side tables with one whose list tiles take raw rows; the
-// raw row moves 4 KB of pixels per tile.
+// whole frame is copied — with Blit between tracked buffers against plain
+// ones. feedPaint leaves a fresh buffer's list tiles raw (its 24-px rows
+// never cover a whole tile), so both tracked screens are re-encoded: the
+// palette row copies 512-byte index planes plus side tables, and the raw
+// row moves 4 KB of pixels per tile.
 func BenchmarkPaletteBlit(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -32,24 +31,20 @@ func BenchmarkPaletteBlit(b *testing.B) {
 			var screens [2]*Buffer
 			for i := range screens {
 				screens[i] = New(720, 1280)
-				screens[i].EnableTiles()
 				if bc.palette {
-					screens[i].EnablePalettes()
+					screens[i].EnableTiles()
 				}
 				feedPaint(screens[i])
 				// Offset the second screen's rows so every tile differs.
 				if i == 1 {
 					screens[i].ScrollVert(R(0, 48, 720, 1280), -24)
 					screens[i].Fill(R(0, 1256, 720, 1280), RGB(200, 90, 20))
-					if bc.palette {
-						screens[i].EncodeAll() // compress the list tiles feedPaint left raw
-					}
 				}
+				screens[i].EncodeAll() // compress the list tiles feedPaint left raw
 			}
 			dst := New(720, 1280)
-			dst.EnableTiles()
 			if bc.palette {
-				dst.EnablePalettes()
+				dst.EnableTiles()
 			}
 			dst.Blit(screens[0], screens[0].Bounds(), 0, 0)
 			b.ReportAllocs()
@@ -70,7 +65,6 @@ func BenchmarkPaletteBlit(b *testing.B) {
 func scrolledFeed() *Buffer {
 	buf := New(720, 1280)
 	buf.EnableTiles()
-	buf.EnablePalettes()
 	feedPaint(buf)
 	buf.ScrollVert(R(0, 48, 720, 1280), 24)
 	buf.Fill(R(0, 48, 720, 72), RGB(200, 90, 20))
@@ -127,7 +121,7 @@ func BenchmarkPaletteFill(b *testing.B) {
 	}{{"fill", false}, {"rects", true}} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := New(720, 1280)
-			buf.EnablePalettes()
+			buf.EnableTiles()
 			buf.Recycle()
 			paint := func(colors []Color) {
 				if bc.batch {
@@ -167,8 +161,8 @@ func feedStep(buf *Buffer, step int, rects []Rect, colors []Color) {
 }
 
 // BenchmarkPaletteScroll measures one feed step (feedStep) on a
-// 720×1280 palette screen whose list tiles start compressed, as a
-// device's recycled framebuffer does, and on its raw-tile twin. The
+// 720×1280 tracked screen whose list tiles start compressed, as a
+// device's recycled framebuffer does, and on its plain twin. The
 // palette row rebuilds each list tile from index-plane rows into a
 // pruned palette; the raw row moves 3.5 MB of pixels.
 func BenchmarkPaletteScroll(b *testing.B) {
@@ -178,9 +172,8 @@ func BenchmarkPaletteScroll(b *testing.B) {
 	}{{"palette", true}, {"raw", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := New(720, 1280)
-			buf.EnableTiles()
 			if bc.palette {
-				buf.EnablePalettes()
+				buf.EnableTiles()
 			}
 			buf.Recycle()
 			feedPaint(buf)

@@ -6,13 +6,13 @@ import (
 )
 
 // FuzzPaletteCompare differentially tests the palette-compressed tile
-// representation against the raw tile pipeline: the same mutation stream
-// — fills from a narrow palette, wide-color fills that force promotion,
+// representation against a plain buffer: the same mutation stream —
+// fills from a narrow palette, wide-color fills that force promotion,
 // FillRects batches, single stores, scrolls, blits from raw and from
 // compressed sources at random and tile-aligned offsets — drives a
-// palette buffer and a raw-tile buffer in lockstep, and after every
-// operation the two must agree on every read path: At, Equal,
-// DiffPixels, grid sampling and mean luminance. Snapshot/share
+// tracked buffer and a plain one in lockstep, and after every operation
+// the two must agree on every read path: At, Equal and grid sampling.
+// Snapshot/share
 // round-trips (EncodeAll, NewPaletteSnapshot, ShareFromDamage) are
 // interleaved as content-preserving no-ops. Any divergence means a
 // nibble kernel, binned fill, plane copy, promotion edge or
@@ -38,9 +38,7 @@ func FuzzPaletteCompare(f *testing.F) {
 
 		pb := New(w, h)
 		pb.EnableTiles()
-		pb.EnablePalettes()
 		rb := New(w, h)
-		rb.EnableTiles()
 
 		// Blit sources: raw random content, a compressed palette screen,
 		// and the latest op-7 snapshot while there is one.
@@ -69,13 +67,10 @@ func FuzzPaletteCompare(f *testing.F) {
 				t.Fatalf("step %d (%dx%d): Equal reports divergence (palTiles=%d promos=%d)",
 					step, w, h, pb.PaletteTiles(), pb.PalettePromotions())
 			}
-			if n := pb.DiffPixels(rb); n != 0 {
-				t.Fatalf("step %d: DiffPixels = %d, want 0", step, n)
-			}
 			for y := 0; y < h; y++ {
 				for x := 0; x < w; x++ {
 					if pb.At(x, y) != rb.At(x, y) {
-						t.Fatalf("step %d: At(%d,%d) palette=%08x raw=%08x", step, x, y, pb.At(x, y), rb.At(x, y))
+						t.Fatalf("step %d: At(%d,%d) palette=%08x plain=%08x", step, x, y, pb.At(x, y), rb.At(x, y))
 					}
 				}
 			}
@@ -83,11 +78,8 @@ func FuzzPaletteCompare(f *testing.F) {
 			grid.Sample(rb, sr)
 			for i := range sp {
 				if sp[i] != sr[i] {
-					t.Fatalf("step %d: grid sample %d palette=%08x raw=%08x", step, i, sp[i], sr[i])
+					t.Fatalf("step %d: grid sample %d palette=%08x plain=%08x", step, i, sp[i], sr[i])
 				}
-			}
-			if pl, rl := pb.MeanLuminance(), rb.MeanLuminance(); pl != rl {
-				t.Fatalf("step %d: MeanLuminance palette=%v raw=%v", step, pl, rl)
 			}
 		}
 
@@ -98,12 +90,12 @@ func FuzzPaletteCompare(f *testing.F) {
 			case 0, 1: // narrow fill: the palettized fast path
 				r, c := randRect(), narrow[rng.Intn(len(narrow))]
 				if np, nr := pb.Fill(r, c), rb.Fill(r, c); np != nr {
-					t.Fatalf("step %d: Fill count palette=%d raw=%d", step, np, nr)
+					t.Fatalf("step %d: Fill count palette=%d plain=%d", step, np, nr)
 				}
 			case 2: // wide fill: palette growth and promotion
 				r, c := randRect(), Color(rng.Uint32()&0x00ffffff)
 				if np, nr := pb.Fill(r, c), rb.Fill(r, c); np != nr {
-					t.Fatalf("step %d: Fill count palette=%d raw=%d", step, np, nr)
+					t.Fatalf("step %d: Fill count palette=%d plain=%d", step, np, nr)
 				}
 			case 3: // single stores, sometimes wide: per-tile palettes creep past PaletteCap
 				for n := rng.Intn(40) + 1; n > 0; n-- {
@@ -118,7 +110,7 @@ func FuzzPaletteCompare(f *testing.F) {
 			case 4: // scroll: the feed kernel over mixed representations
 				r, dy := randRect(), rng.Intn(2*h+1)-h
 				if rp, rr := pb.ScrollVert(r, dy), rb.ScrollVert(r, dy); rp != rr {
-					t.Fatalf("step %d: ScrollVert repaint palette=%v raw=%v", step, rp, rr)
+					t.Fatalf("step %d: ScrollVert repaint palette=%v plain=%v", step, rp, rr)
 				}
 			case 5: // blit raw or compressed content, half the time tile-aligned (plane copies)
 				src := aux
@@ -134,7 +126,7 @@ func FuzzPaletteCompare(f *testing.F) {
 					dx, dy = srcR.X0+(rng.Intn(5)-2)*TileSize, srcR.Y0+(rng.Intn(5)-2)*TileSize
 				}
 				if np, nr := pb.Blit(src, srcR, dx, dy), rb.Blit(src, srcR, dx, dy); np != nr {
-					t.Fatalf("step %d: Blit count palette=%d raw=%d", step, np, nr)
+					t.Fatalf("step %d: Blit count palette=%d plain=%d", step, np, nr)
 				}
 			case 6: // re-encode is content-preserving
 				pb.EncodeAll()
@@ -145,16 +137,15 @@ func FuzzPaletteCompare(f *testing.F) {
 				}
 				view := New(w, h)
 				view.EnableTiles()
-				view.EnablePalettes()
 				view.FillAll(narrow[rng.Intn(len(narrow))])
 				view.ShareFromDamage(snap, []Rect{view.Bounds()})
 				if !view.Equal(rb) {
-					t.Fatalf("step %d: snapshot/share view diverges from raw reference", step)
+					t.Fatalf("step %d: snapshot/share view diverges from the plain reference", step)
 				}
 			case 8: // a FillRects batch: bands, overlaps, off-screen rects, >16 colors in a tile
 				batch, batchColors = randFillBatch(rng, w, h, narrow[:], batch[:0], batchColors[:0])
 				if np, nr := pb.FillRects(batch, batchColors), rb.FillRects(batch, batchColors); np != nr {
-					t.Fatalf("step %d: FillRects count palette=%d raw=%d", step, np, nr)
+					t.Fatalf("step %d: FillRects count palette=%d plain=%d", step, np, nr)
 				}
 			default: // recycle both: must come back blank and in lockstep
 				if rng.Intn(2) == 0 {

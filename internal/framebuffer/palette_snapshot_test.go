@@ -14,7 +14,7 @@ import (
 // by a linear palette search plus a one-nibble read-modify-write.
 func referencePaletteSnapshot(src *Buffer) *Buffer {
 	b := &Buffer{w: src.w, h: src.h}
-	b.EnablePalettes()
+	b.EnableTiles()
 	t := b.tiles
 	rs := src.repr()
 	var row [TileSize]Color
@@ -92,18 +92,17 @@ func snapshotDiff(got, want *Buffer) string {
 
 // checkSnapshotStream drives one random mutation stream over a w×h
 // buffer and requires NewPaletteSnapshot to match the reference encoder
-// after every step. The buffer is palette-enabled or raw-tile as pal
-// says; the stream mixes narrow fills, wide fills that overflow tiles past
+// after every step. The buffer is tracked or plain as tracked says; the
+// stream mixes narrow fills, wide fills that overflow tiles past
 // PaletteCap (nil snapshots), single stores, scrolls, EncodeAll, Recycle,
 // and ShareFrom/ShareFromDamage onto earlier snapshots — copy-on-write
 // views of compacted sources with no pixel array.
-func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, pal bool) {
+func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, tracked bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	buf := New(w, h)
-	buf.EnableTiles()
-	if pal {
-		buf.EnablePalettes()
+	if tracked {
+		buf.EnableTiles()
 	}
 	narrow := [6]Color{RGB(10, 10, 10), RGB(200, 30, 30), RGB(30, 200, 30), RGB(30, 30, 200), RGB(240, 240, 240), 0}
 	randRect := func() Rect {
@@ -134,7 +133,7 @@ func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, pal boo
 				}
 				buf.Set(rng.Intn(w), rng.Intn(h), c)
 			}
-		case 4: // scroll: realizes the region to raw tiles
+		case 4: // scroll
 			buf.ScrollVert(randRect(), rng.Intn(2*h+1)-h)
 		case 5:
 			buf.EncodeAll()
@@ -153,7 +152,7 @@ func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, pal boo
 		}
 		got, want := NewPaletteSnapshot(buf), referencePaletteSnapshot(buf)
 		if d := snapshotDiff(got, want); d != "" {
-			t.Fatalf("seed %d %dx%d palettes=%v step %d (op %d): %s", seed, w, h, pal, step, op%8, d)
+			t.Fatalf("seed %d %dx%d tracked=%v step %d (op %d): %s", seed, w, h, tracked, step, op%8, d)
 		}
 		if got != nil && len(snaps) < 4 {
 			snaps = append(snaps, got)
@@ -192,7 +191,7 @@ func TestPaletteSnapshotFeedScreen(t *testing.T) {
 	buf := scrolledFeed()
 	snap := NewPaletteSnapshot(buf)
 	if d := snapshotDiff(snap, referencePaletteSnapshot(buf)); d != "" {
-		t.Fatalf("raw-tile source: %s", d)
+		t.Fatalf("raw list tiles: %s", d)
 	}
 	buf.EncodeAll()
 	if d := snapshotDiff(NewPaletteSnapshot(buf), referencePaletteSnapshot(buf)); d != "" {
@@ -200,7 +199,6 @@ func TestPaletteSnapshotFeedScreen(t *testing.T) {
 	}
 	view := New(720, 1280)
 	view.EnableTiles()
-	view.EnablePalettes()
 	view.ShareFrom(snap)
 	if d := snapshotDiff(NewPaletteSnapshot(view), referencePaletteSnapshot(view)); d != "" {
 		t.Fatalf("view of a compacted snapshot: %s", d)
@@ -233,11 +231,10 @@ func TestPaletteSnapshotOverflow(t *testing.T) {
 			}
 		}},
 	} {
-		for _, pal := range []bool{false, true} {
+		for _, tracked := range []bool{false, true} {
 			buf := New(tc.w, tc.h)
-			buf.EnableTiles()
-			if pal {
-				buf.EnablePalettes()
+			if tracked {
+				buf.EnableTiles()
 			}
 			tc.paint(buf)
 			got, want := NewPaletteSnapshot(buf), referencePaletteSnapshot(buf)
@@ -245,7 +242,7 @@ func TestPaletteSnapshotOverflow(t *testing.T) {
 				t.Fatalf("%s: the reference encoded 17 colors", tc.name)
 			}
 			if d := snapshotDiff(got, want); d != "" {
-				t.Errorf("%s (palettes=%v): %s", tc.name, pal, d)
+				t.Errorf("%s (tracked=%v): %s", tc.name, tracked, d)
 			}
 		}
 	}
@@ -259,10 +256,10 @@ func FuzzPaletteSnapshot(f *testing.F) {
 	f.Add(int64(2), []byte{2, 2, 0, 5, 6, 3, 7}, uint8(33), uint8(47), true)
 	f.Add(int64(3), []byte{0, 4, 5, 0, 6, 7, 0, 6, 4}, uint8(95), uint8(40), false)
 	f.Add(int64(4), []byte{3, 3, 5, 6, 1, 6, 4, 5}, uint8(16), uint8(15), true)
-	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8, pal bool) {
+	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8, tracked bool) {
 		if len(ops) > 64 {
 			ops = ops[:64]
 		}
-		checkSnapshotStream(t, seed, ops, int(w8%100)+8, int(h8%113)+8, pal)
+		checkSnapshotStream(t, seed, ops, int(w8%100)+8, int(h8%113)+8, tracked)
 	})
 }

@@ -25,10 +25,11 @@ func stripeBatch(rng *rand.Rand, w, h, k int, rects []Rect, colors []Color) ([]R
 }
 
 // TestPaletteScrollMatchesRaw holds the palette-domain ScrollVert to the
-// raw row move: a palette buffer and its raw-tile twin take the same
-// stream of scrolls, and after each one they must agree on the repaint
-// rect, every pixel, Gen and every TileGen, and the palette buffer must
-// keep its bookkeeping invariants (checkPalState). Regions are the feed
+// raw row move: a tracked buffer and its plain twin take the same stream
+// of scrolls, and after each one they must agree on the repaint rect and
+// every pixel; the tracked buffer must mark exactly the tiles the moved
+// rows overlap (checkScrollGens) and keep its bookkeeping invariants
+// (checkPalState). Regions are the feed
 // region under a header, the whole screen, and rects with tile-misaligned
 // X edges that may hang off screen; dy ranges over ±[1, 2·Dy] of the
 // clamped region, so about half the scrolls move rows. Before each scroll
@@ -52,9 +53,8 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 			w, h, steps = 720, 1280, 4
 		}
 		pb := New(w, h)
-		pb.EnablePalettes()
+		pb.EnableTiles()
 		rb := New(w, h)
-		rb.EnableTiles()
 		both := func(f func(b *Buffer)) { f(pb); f(rb) }
 		for step := 0; step < steps; step++ {
 			switch rng.Intn(8) {
@@ -91,10 +91,12 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				dy = -dy
 			}
+			gen, gens := pb.Gen(), append([]uint64(nil), pb.tiles.tgen...)
 			if got, want := pb.ScrollVert(r, dy), rb.ScrollVert(r, dy); got != want {
-				t.Fatalf("seed %d step %d: ScrollVert(%v, %d) repaint = %v, raw twin %v", seed, step, r, dy, got, want)
+				t.Fatalf("seed %d step %d: ScrollVert(%v, %d) repaint = %v, plain twin %v", seed, step, r, dy, got, want)
 			}
 			checkSame(t, step, pb, rb)
+			checkScrollGens(t, step, pb, r, dy, gen, gens)
 			checkPalState(t, step, pb)
 		}
 	}
@@ -103,14 +105,13 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 // TestPaletteScrollFeedStaysCompressed checks the representation win the
 // kernel exists for: a 720×1280 feed screen on a recycled buffer, as a
 // device's framebuffer starts, scrolled 200 feed steps (feedStep) keeps
-// all 920 tiles compressed with no promotion, and matches its raw-tile
+// all 920 tiles compressed with no promotion, and matches its plain
 // twin. A scroll that kept each tile's palette would overflow within a
 // few steps, since every step brings new list colors.
 func TestPaletteScrollFeedStaysCompressed(t *testing.T) {
 	pb := New(720, 1280)
-	pb.EnablePalettes()
+	pb.EnableTiles()
 	rb := New(720, 1280)
-	rb.EnableTiles()
 	var rects []Rect
 	var colors []Color
 	for _, b := range []*Buffer{pb, rb} {
@@ -127,5 +128,29 @@ func TestPaletteScrollFeedStaysCompressed(t *testing.T) {
 	}
 	if p := pb.PalettePromotions(); p != 0 {
 		t.Errorf("feed steps promoted %d tiles, want 0", p)
+	}
+}
+
+// checkScrollGens checks the generations ScrollVert(r, dy) left on a,
+// whose generation was gen and tile generations gens before the call:
+// when rows moved, Gen advanced by one and exactly the tiles the moved
+// rows overlap carry it; otherwise nothing changed.
+func checkScrollGens(t *testing.T, step int, a *Buffer, r Rect, dy int, gen uint64, gens []uint64) {
+	t.Helper()
+	moved := Rect{}
+	if c := r.Clamp(a.Bounds()); !c.Empty() && dy != 0 && abs(dy) < c.Dy() {
+		moved = Rect{c.X0, max(c.Y0+dy, c.Y0), c.X1, min(c.Y1+dy, c.Y1)}
+		gen++
+	}
+	if a.Gen() != gen {
+		t.Fatalf("step %d: ScrollVert(%v, %d) left Gen %d, want %d", step, r, dy, a.Gen(), gen)
+	}
+	for i, g := range gens {
+		if !a.TileRect(i).Intersect(moved).Empty() {
+			g = gen
+		}
+		if a.TileGen(i) != g {
+			t.Fatalf("step %d: ScrollVert(%v, %d) left tile %d at gen %d, want %d", step, r, dy, i, a.TileGen(i), g)
+		}
 	}
 }

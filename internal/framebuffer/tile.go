@@ -10,8 +10,9 @@ import "fmt"
 // observation (DeltaCompare), and palette compression (palette.go)
 // keeps its per-tile state on the same grid.
 //
-// Tracking is opt-in per buffer (EnableTiles); untracked buffers pay
-// nothing.
+// Tracking is opt-in per buffer (EnableTiles) and always carries palette
+// compression: a buffer is either plain, paying nothing for either, or
+// tracked and palettized.
 
 // Tile geometry: fixed 32×32 pixel tiles (TileShift = 5). On the
 // 720×1280 Galaxy S3 screen this yields a 23×40 = 920-tile grid.
@@ -34,10 +35,9 @@ type tileSet struct {
 	gen  uint64
 	tgen []uint64
 
-	// Palette compression state (see palette.go). palOn gates the
-	// machinery; while palN[i] > 0 tile i's content is defined by its
-	// slice of pal and plane and the pixel array is stale under it.
-	palOn    bool
+	// Palette compression state (see palette.go): while palN[i] > 0 tile
+	// i's content is defined by its slice of pal and plane and the pixel
+	// array is stale under it.
 	palN     []uint8 // palette size per tile; 0 = raw
 	plane    []byte  // 4-bit index plane, planeTileBytes per tile
 	pal      []Color // PaletteCap entries per tile
@@ -53,20 +53,37 @@ type tileSet struct {
 	binK []int32
 }
 
-// EnableTiles turns on tile tracking for b. It is idempotent; dimensions
-// are fixed at the buffer's, so pooled buffers keep their tracking state
-// across reuse. Buffers start with every tile marked written at
+// EnableTiles turns on tile tracking and palette compression for b. It is
+// idempotent; dimensions are fixed at the buffer's, so pooled buffers
+// keep their tracking and palette state across reuse under the same
+// contract as their pixels. Every tile starts raw and marked written at
 // generation 1.
 func (b *Buffer) EnableTiles() {
 	if b.tiles != nil {
 		return
 	}
 	cols, rows := tilesFor(b.w), tilesFor(b.h)
-	t := &tileSet{cols: cols, rows: rows, gen: 1, tgen: make([]uint64, cols*rows)}
+	n := cols * rows
+	t := &tileSet{
+		cols: cols, rows: rows, gen: 1, tgen: make([]uint64, n),
+		palN: make([]uint8, n), plane: make([]byte, n*planeTileBytes), pal: make([]Color, n*PaletteCap),
+	}
 	for i := range t.tgen {
 		t.tgen[i] = 1
 	}
 	b.tiles = t
+}
+
+// DisableTiles realizes every compressed tile back to raw pixels and
+// drops tile tracking, leaving b a plain buffer with the same content.
+// Safe on a plain buffer.
+func (b *Buffer) DisableTiles() {
+	if b.tiles == nil {
+		return
+	}
+	b.own()
+	b.realizeAll()
+	b.tiles = nil
 }
 
 // TilesEnabled reports whether b tracks tiles.
@@ -173,21 +190,41 @@ func (b *Buffer) own() {
 // Sharing counts as a whole-buffer mutation for tile tracking (the
 // visible content changes entirely), so generations stay conservative.
 func (b *Buffer) ShareFrom(src *Buffer) {
+	b.share(src, "ShareFrom")
+	b.touchAll()
+}
+
+// ShareFromDamage is ShareFrom for consecutive memoized content states:
+// b — currently holding state k, owned or already a view — becomes a
+// view of src (state k+1), and only tiles under the damage rects are
+// marked written. The caller guarantees the damage contract: rects cover
+// every pixel differing between states k and k+1, so the meter and
+// compositor see exactly the tile churn a real paint of the transition
+// would have caused, instead of a whole-screen invalidation.
+func (b *Buffer) ShareFromDamage(src *Buffer, rects []Rect) {
+	b.share(src, "ShareFromDamage")
+	for _, r := range rects {
+		b.touch(r)
+	}
+}
+
+// share turns b into a copy-on-write view of src for the named caller,
+// parking b's own storage unless it is already a view.
+func (b *Buffer) share(src *Buffer, op string) {
 	if b.w != src.w || b.h != src.h {
-		panic(fmt.Sprintf("framebuffer: ShareFrom size mismatch %dx%d vs %dx%d", b.w, b.h, src.w, src.h))
+		panic(fmt.Sprintf("framebuffer: %s size mismatch %dx%d vs %dx%d", op, b.w, b.h, src.w, src.h))
 	}
 	if src.shared != nil {
-		panic("framebuffer: ShareFrom of a buffer that is itself sharing")
+		panic("framebuffer: " + op + " of a buffer that is itself sharing")
 	}
 	if src == b {
-		panic("framebuffer: ShareFrom self")
+		panic("framebuffer: " + op + " self")
 	}
 	if b.shared == nil {
 		b.spare = b.pix
 	}
 	b.shared = src
 	b.pix = src.pix
-	b.touchAll()
 }
 
 // Shared reports whether b is currently a copy-on-write view.

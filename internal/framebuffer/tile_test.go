@@ -159,7 +159,7 @@ func TestTileTouchEdgeRects(t *testing.T) {
 		// at tile-aligned offsets (tile by tile) and misaligned ones (raw
 		// rows), from a raw source and from a compressed one.
 		pal := New(w, h)
-		pal.EnablePalettes()
+		pal.EnableTiles()
 		pal.CopyFrom(plain)
 		for _, sb := range []*Buffer{src, narrowScreen(rng, w, h)} {
 			for _, r := range edgeRects {
@@ -181,7 +181,7 @@ func TestTileTouchEdgeRects(t *testing.T) {
 // every tile stays compressed.
 func narrowScreen(rng *rand.Rand, w, h int) *Buffer {
 	b := New(w, h)
-	b.EnablePalettes()
+	b.EnableTiles()
 	colors := [4]Color{0x102030, 0xc0c0c0, 0x20a040, 0xf01010}
 	b.FillAll(colors[0])
 	for n := 0; n < 12; n++ {
@@ -272,7 +272,7 @@ func TestBlitPaletteMatchesBlit(t *testing.T) {
 		src := narrowScreen(rng, tc.w, tc.h)
 		aux := narrowScreen(rng, tc.w, tc.h)
 		dstP := New(tc.dw, tc.dh)
-		dstP.EnablePalettes()
+		dstP.EnableTiles()
 		dstN := New(tc.dw, tc.dh)
 
 		planes := 0             // most destination tiles ever compressed at once
@@ -401,10 +401,10 @@ func TestTileLatticeDeltaMatchesFullScan(t *testing.T) {
 // ones) and COW materialization allocate nothing once buffers exist.
 func TestTileStateAllocFree(t *testing.T) {
 	src := New(64, 64)
-	src.EnablePalettes()
+	src.EnableTiles()
 	src.FillAll(Color(0x111111))
 	dst := New(64, 64)
-	dst.EnablePalettes()
+	dst.EnableTiles()
 	memo := New(64, 64)
 	memo.FillAll(Color(0x777777))
 	i := 0

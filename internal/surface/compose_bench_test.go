@@ -22,23 +22,22 @@ func (c *benchClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.R
 }
 
 // BenchmarkTileCompose measures one V-Sync latch of a full-screen-damage
-// frame with 32×32 pixels of real change, across the two composition
-// strategies:
+// frame with 32×32 pixels of real change, on both pixel pipelines:
 //
-//   - direct: sole full-screen surface under ComposeTiles — the buffer is
-//     scanned out in place, no copies at all;
+//   - direct: sole full-screen surface under SetTiles(true) — the buffer
+//     is scanned out in place, no copies at all;
 //   - naive: the brute-force oracle, blitting every damaged pixel.
 func BenchmarkTileCompose(b *testing.B) {
 	for _, bc := range []struct {
-		name string
-		mode ComposeMode
+		name  string
+		tiles bool
 	}{
-		{"direct", ComposeTiles},
-		{"naive", ComposeNaive},
+		{"direct", true},
+		{"naive", false},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			m := NewManager(sim.NewEngine(), 720, 1280)
-			m.SetComposeMode(bc.mode)
+			m.SetTiles(bc.tiles)
 			s := m.NewSurface("app", 1, &benchClient{})
 			s.RequestFrame()
 			m.VSync(0, 60) // first latch: full compose, engages scanout for "direct"
@@ -53,21 +52,21 @@ func BenchmarkTileCompose(b *testing.B) {
 
 // TestComposeTiledZeroAlloc pins the steady-state allocation contract of
 // composition: after the first latch, a V-Sync — render callback, Blit
-// (or direct scanout), frame accounting — allocates nothing, in every
-// composition mode, including a tracked surface that is not full-screen
-// and so is blitted.
+// (or direct scanout), frame accounting — allocates nothing, on either
+// pipeline, including a tracked surface that is not full-screen and so
+// is blitted.
 func TestComposeTiledZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		mode       ComposeMode
+		tiles      bool
 		fullScreen bool
 	}{
-		{"direct", ComposeTiles, true},
-		{"tiles", ComposeTiles, false},
-		{"naive", ComposeNaive, true},
+		{"direct", true, true},
+		{"tiles", true, false},
+		{"naive", false, true},
 	} {
 		m := NewManager(sim.NewEngine(), 720, 1280)
-		m.SetComposeMode(tc.mode)
+		m.SetTiles(tc.tiles)
 		frame := framebuffer.R(0, 0, 720, 1280)
 		if !tc.fullScreen {
 			frame.Y1 = 1248

@@ -11,8 +11,8 @@ import (
 // fuzzClient is a deterministic contract-honoring Client: every paint op
 // it performs is covered by the damage it reports, and a frame reported
 // as redundant (empty damage) paints nothing. Two instances built from
-// the same seed draw identical sequences, so a tile-mode and a
-// naive-mode manager given the same stimulus render identical content.
+// the same seed draw identical sequences, so a tile-pipeline and an
+// oracle manager given the same stimulus render identical content.
 type fuzzClient struct {
 	rng *rand.Rand
 	aux *framebuffer.Buffer // blit source, never mutated
@@ -95,18 +95,22 @@ func (c *fuzzClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Re
 }
 
 // FuzzTileCompose is the compositor differential fuzzer: the same
-// surface stimulus — frame requests, V-Syncs, a mid-run second surface —
-// drives a ComposeTiles manager and a ComposeNaive manager in lockstep.
-// The visible framebuffer bytes and the FrameInfo stream (sequence,
-// timing, dirty-pixel and render accounting) must stay byte-identical
-// whatever the fuzzer finds: tile tracking, direct scanout and its
-// demotion are pure optimizations.
+// surface stimulus — frame requests, V-Syncs, a mid-run second surface,
+// session resets that recycle pooled buffers — drives a manager on the
+// tile pipeline (SetTiles(true), the production configuration) and an
+// oracle manager on plain buffers in lockstep. The visible framebuffer
+// bytes and the FrameInfo stream (sequence, timing, dirty-pixel and
+// render accounting) must stay byte-identical whatever the fuzzer finds:
+// tile tracking, palette planes and their promotion to raw, direct
+// scanout and its demotion, and buffer recycling are pure optimizations.
 func FuzzTileCompose(f *testing.F) {
 	f.Add(int64(1), []byte{0, 5, 0, 5, 0, 5}, uint8(64), uint8(64))
 	f.Add(int64(2), []byte{0, 0, 5, 4, 0, 3, 5, 5, 0, 5}, uint8(33), uint8(47))
 	f.Add(int64(3), []byte{5, 0, 5, 0, 4, 5, 3, 5, 0, 3, 5, 0, 5}, uint8(96), uint8(40))
 	f.Add(int64(4), []byte{0, 5, 4, 5, 0, 5}, uint8(32), uint8(32))
 	f.Add(int64(5), []byte{0, 5, 5, 5, 0, 5, 0, 5, 0, 5, 0, 5}, uint8(80), uint8(130))
+	f.Add(int64(4), []byte{0, 5, 4, 5, 6, 0, 5, 0, 5}, uint8(32), uint8(32))
+	f.Add(int64(5), []byte{0, 5, 5, 5, 6, 0, 5, 4, 0, 5, 6, 0, 5}, uint8(80), uint8(130))
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8) {
 		w := int(w8%100) + 16 // 16..115: mixes tile-aligned and partial-edge screens
@@ -116,15 +120,23 @@ func FuzzTileCompose(f *testing.F) {
 		}
 
 		mgrT := NewManager(sim.NewEngine(), w, h)
-		mgrT.SetComposeMode(ComposeTiles)
+		mgrT.SetTiles(true)
 		mgrN := NewManager(sim.NewEngine(), w, h)
 
-		sT := mgrT.NewSurface("app", 1, newFuzzClient(seed, w, h))
-		sN := mgrN.NewSurface("app", 1, newFuzzClient(seed, w, h))
+		// Client seeds are derived per session so both managers always
+		// see identical draw sequences, including across resets.
+		session := seed
+		sT := mgrT.NewSurface("app", 1, newFuzzClient(session, w, h))
+		sN := mgrN.NewSurface("app", 1, newFuzzClient(session, w, h))
 
+		// Reset drops frame hooks, so every session re-registers them
+		// and the streams cover the whole run.
 		var infosT, infosN []FrameInfo
-		mgrT.OnFrame(func(fi FrameInfo) { infosT = append(infosT, fi) })
-		mgrN.OnFrame(func(fi FrameInfo) { infosN = append(infosN, fi) })
+		observe := func() {
+			mgrT.OnFrame(func(fi FrameInfo) { infosT = append(infosT, fi) })
+			mgrN.OnFrame(func(fi FrameInfo) { infosN = append(infosN, fi) })
+		}
+		observe()
 
 		var barT, barN *Surface // second surface, registered mid-run
 		var vsyncs sim.Time
@@ -151,30 +163,44 @@ func FuzzTileCompose(f *testing.F) {
 					// tile-misaligned position; registering it demotes
 					// direct scanout mid-run.
 					fr := framebuffer.Rect{X0: 1, Y0: 1, X1: (w+1)/2 + 1, Y1: (h+1)/2 + 1}
-					barT = mgrT.NewSurfaceAt("bar", 2, fr, newFuzzClient(seed^0x5bd1e995, fr.Dx(), fr.Dy()))
-					barN = mgrN.NewSurfaceAt("bar", 2, fr, newFuzzClient(seed^0x5bd1e995, fr.Dx(), fr.Dy()))
+					barT = mgrT.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
+					barN = mgrN.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
 				}
+			case 6:
+				// Session reset: surfaces drop, pooled buffers recycle.
+				// The tile session's recycled buffers carry palette planes
+				// and copy-on-write views; Recycle must neutralize that
+				// provenance so the next session stays in lockstep with
+				// the oracle.
+				mgrT.Reset()
+				mgrN.Reset()
+				barT, barN = nil, nil
+				session = seed ^ int64(step+1)*0x9e3779b9
+				sT = mgrT.NewSurface("app", 1, newFuzzClient(session, w, h))
+				sN = mgrN.NewSurface("app", 1, newFuzzClient(session, w, h))
+				observe()
 			default:
 				vsyncs++
 				tNow := vsyncs * sim.Hz(60)
 				mgrT.VSync(tNow, 60)
 				mgrN.VSync(tNow, 60)
 				if !mgrT.Framebuffer().Equal(mgrN.Framebuffer()) {
-					t.Fatalf("step %d (%dx%d): tile framebuffer diverges from naive (scanout=%v)",
-						step, w, h, mgrT.DirectScanout())
+					tiles, _ := mgrT.PaletteStats()
+					t.Fatalf("step %d (%dx%d): tile framebuffer diverges from the oracle (scanout=%v, palTiles=%d)",
+						step, w, h, mgrT.DirectScanout(), tiles)
 				}
 			}
 		}
 		if len(infosT) != len(infosN) {
-			t.Fatalf("frame count: tiles latched %d, naive %d", len(infosT), len(infosN))
+			t.Fatalf("frame count: tiles latched %d, oracle %d", len(infosT), len(infosN))
 		}
 		for i := range infosT {
 			if infosT[i] != infosN[i] {
-				t.Fatalf("frame %d: tiles %+v, naive %+v", i, infosT[i], infosN[i])
+				t.Fatalf("frame %d: tiles %+v, oracle %+v", i, infosT[i], infosN[i])
 			}
 		}
 		if mgrT.Frames() != mgrN.Frames() {
-			t.Fatalf("Frames(): tiles %d, naive %d", mgrT.Frames(), mgrN.Frames())
+			t.Fatalf("Frames(): tiles %d, oracle %d", mgrT.Frames(), mgrN.Frames())
 		}
 	})
 }

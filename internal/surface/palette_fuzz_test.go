@@ -7,19 +7,22 @@ import (
 	"ccdem/internal/sim"
 )
 
-// FuzzPaletteCompose is the palette-layer compositor differential fuzzer:
-// the same surface stimulus — frame requests, V-Syncs, a mid-run second
-// surface, session resets that recycle pooled buffers — drives a
-// ComposeTiles manager with palette compression enabled and one with it
-// disabled (its raw-tile twin) in lockstep. The visible framebuffer
-// bytes and the FrameInfo stream (sequence, timing, dirty-pixel and
-// render accounting) must stay byte-identical whatever the fuzzer finds:
-// palette planes, promotion to raw, nibble-kernel blits and compares, and
-// buffer recycling are pure representation changes.
+// FuzzPaletteCompose is the pipeline-switch compositor fuzzer: the
+// stimulus of FuzzTileCompose — frame requests, V-Syncs, a mid-run
+// second surface, session resets that recycle pooled buffers — drives a
+// manager whose pipeline the fuzzer switches between palette-compressed
+// tiles and plain buffers, and a plain-buffer oracle, in lockstep. Op 6
+// resets the session and crosses the switch, as device init does on a
+// recycled device; op 14 crosses it mid-session, which SetTiles promises
+// never changes content. Across every crossing — palette state built
+// over live content, every tile realized back to raw, direct scanout
+// demoted, pooled buffers recycled under one setting and re-tracked
+// under the other — the visible framebuffer bytes and the FrameInfo
+// stream must stay byte-identical to the oracle's.
 func FuzzPaletteCompose(f *testing.F) {
-	f.Add(int64(1), []byte{0, 5, 0, 5, 0, 5}, uint8(64), uint8(64))
-	f.Add(int64(2), []byte{0, 0, 5, 4, 0, 3, 5, 5, 0, 5}, uint8(33), uint8(47))
-	f.Add(int64(3), []byte{5, 0, 5, 0, 4, 5, 3, 5, 0, 3, 5, 0, 5}, uint8(96), uint8(40))
+	f.Add(int64(1), []byte{0, 5, 14, 0, 5, 14, 0, 5}, uint8(64), uint8(64))
+	f.Add(int64(2), []byte{0, 0, 5, 4, 0, 14, 3, 5, 5, 14, 0, 5}, uint8(33), uint8(47))
+	f.Add(int64(3), []byte{5, 0, 5, 0, 4, 5, 3, 14, 5, 0, 3, 5, 14, 0, 5}, uint8(96), uint8(40))
 	f.Add(int64(4), []byte{0, 5, 4, 5, 6, 0, 5, 0, 5}, uint8(32), uint8(32))
 	f.Add(int64(5), []byte{0, 5, 5, 5, 6, 0, 5, 4, 0, 5, 6, 0, 5}, uint8(80), uint8(130))
 
@@ -30,11 +33,10 @@ func FuzzPaletteCompose(f *testing.F) {
 			ops = ops[:256]
 		}
 
+		tiles := true
 		mgrP := NewManager(sim.NewEngine(), w, h)
-		mgrP.SetComposeMode(ComposeTiles)
-		mgrP.SetPalettes(true)
+		mgrP.SetTiles(tiles)
 		mgrO := NewManager(sim.NewEngine(), w, h)
-		mgrO.SetComposeMode(ComposeTiles)
 
 		// Client seeds are derived per session so both managers always
 		// see identical draw sequences, including across resets.
@@ -42,9 +44,14 @@ func FuzzPaletteCompose(f *testing.F) {
 		sP := mgrP.NewSurface("app", 1, newFuzzClient(session, w, h))
 		sO := mgrO.NewSurface("app", 1, newFuzzClient(session, w, h))
 
+		// Reset drops frame hooks, so every session re-registers them
+		// and the streams cover the whole run.
 		var infosP, infosO []FrameInfo
-		mgrP.OnFrame(func(fi FrameInfo) { infosP = append(infosP, fi) })
-		mgrO.OnFrame(func(fi FrameInfo) { infosO = append(infosO, fi) })
+		observe := func() {
+			mgrP.OnFrame(func(fi FrameInfo) { infosP = append(infosP, fi) })
+			mgrO.OnFrame(func(fi FrameInfo) { infosO = append(infosO, fi) })
+		}
+		observe()
 
 		var barP, barO *Surface // second surface, registered mid-run
 		var vsyncs sim.Time
@@ -75,38 +82,46 @@ func FuzzPaletteCompose(f *testing.F) {
 					barO = mgrO.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
 				}
 			case 6:
-				// Session reset: surfaces drop, pooled buffers recycle.
-				// The palette session's recycled buffers carry palette
-				// planes and copy-on-write views; Recycle must neutralize
-				// that provenance so the next session stays in lockstep
-				// with the oracle's fresh-looking buffers.
+				tiles = !tiles
+				if op&8 != 0 {
+					// Mid-session switch: registered buffers gain or
+					// lose tracking with their content in place.
+					mgrP.SetTiles(tiles)
+					break
+				}
+				// Session reset: surfaces drop, pooled buffers recycle
+				// under the old setting, and the new session's buffers
+				// take the new one.
 				mgrP.Reset()
 				mgrO.Reset()
+				mgrP.SetTiles(tiles)
 				barP, barO = nil, nil
 				session = seed ^ int64(step+1)*0x9e3779b9
 				sP = mgrP.NewSurface("app", 1, newFuzzClient(session, w, h))
 				sO = mgrO.NewSurface("app", 1, newFuzzClient(session, w, h))
+				observe()
 			default:
 				vsyncs++
 				tNow := vsyncs * sim.Hz(60)
 				mgrP.VSync(tNow, 60)
 				mgrO.VSync(tNow, 60)
 				if !mgrP.Framebuffer().Equal(mgrO.Framebuffer()) {
-					t.Fatalf("step %d (%dx%d): palette framebuffer diverges from its raw-tile twin (scanout=%v, palTiles=%d)",
-						step, w, h, mgrP.DirectScanout(), func() int { n, _ := mgrP.PaletteStats(); return n }())
+					palTiles, _ := mgrP.PaletteStats()
+					t.Fatalf("step %d (%dx%d, tiles=%v): framebuffer diverges from the oracle (scanout=%v, palTiles=%d)",
+						step, w, h, tiles, mgrP.DirectScanout(), palTiles)
 				}
 			}
 		}
 		if len(infosP) != len(infosO) {
-			t.Fatalf("frame count: palettes latched %d, oracle %d", len(infosP), len(infosO))
+			t.Fatalf("frame count: switched manager latched %d, oracle %d", len(infosP), len(infosO))
 		}
 		for i := range infosP {
 			if infosP[i] != infosO[i] {
-				t.Fatalf("frame %d: palettes %+v, oracle %+v", i, infosP[i], infosO[i])
+				t.Fatalf("frame %d: switched manager %+v, oracle %+v", i, infosP[i], infosO[i])
 			}
 		}
 		if mgrP.Frames() != mgrO.Frames() {
-			t.Fatalf("Frames(): palettes %d, oracle %d", mgrP.Frames(), mgrO.Frames())
+			t.Fatalf("Frames(): switched manager %d, oracle %d", mgrP.Frames(), mgrO.Frames())
 		}
 	})
 }

@@ -104,24 +104,6 @@ type FrameInfo struct {
 	RenderedPx  int // pixels drawn by clients for this frame (the GPU cost)
 }
 
-// ComposeMode selects the composition strategy.
-type ComposeMode int
-
-const (
-	// ComposeNaive is the brute-force pipeline: every damage rectangle is
-	// blitted wholesale into the framebuffer. It is the differential-test
-	// oracle for the tile path and the default for directly constructed
-	// managers.
-	ComposeNaive ComposeMode = iota
-	// ComposeTiles enables tile tracking on the framebuffer and all
-	// surface buffers, so the meter can compare only written tiles, and
-	// scans a sole full-screen surface out directly without any copy.
-	// Every other surface is blitted exactly as under ComposeNaive. The
-	// visible framebuffer bytes, dirty-pixel accounting, and FrameInfo
-	// stream are identical to ComposeNaive for contract-honoring clients.
-	ComposeTiles
-)
-
 // Manager combines surfaces into the framebuffer on V-Sync.
 type Manager struct {
 	eng       *sim.Engine
@@ -133,13 +115,12 @@ type Manager struct {
 	deferred  uint64
 	rec       *obs.Recorder
 	pool      []*framebuffer.Buffer // detached surface buffers, reusable by dimension
-	mode      ComposeMode
-	palettes  bool
+	tiles     bool                  // the tile pipeline (see SetTiles)
 	// scanout, when non-nil, is the sole full-screen surface whose buffer
 	// is scanned out directly in place of the composed framebuffer — the
 	// single-layer fast path real compositors call "client target
-	// bypass". Engaged at first latch under ComposeTiles; demoted (with a
-	// one-time copy into fb) as soon as a second surface registers.
+	// bypass". Engaged at first latch under SetTiles(true); demoted (with
+	// a one-time copy into fb) as soon as a second surface registers.
 	scanout *Surface
 }
 
@@ -184,45 +165,45 @@ func (m *Manager) Reset() {
 	m.fb.Recycle()
 }
 
-// SetComposeMode selects the composition strategy. ComposeTiles enables
-// tile tracking on the framebuffer and every registered surface buffer
-// (newly registered surfaces inherit it). The mode survives Reset;
-// device init sets it explicitly per session.
-func (m *Manager) SetComposeMode(mode ComposeMode) {
-	m.mode = mode
-	if mode == ComposeTiles {
-		m.fb.EnableTiles()
-		for _, s := range m.surfaces {
-			s.buf.EnableTiles()
-		}
+// SetTiles selects the pixel pipeline. On, the framebuffer and every
+// surface buffer track 32×32 tiles in palette-compressed form
+// (framebuffer.EnableTiles), so the meter compares only written tiles,
+// and a sole full-screen surface is scanned out directly without any
+// copy. Off — the default for directly constructed managers — is the
+// brute-force oracle: plain buffers, every damage rectangle blitted
+// wholesale. The visible framebuffer bytes, dirty-pixel accounting and
+// FrameInfo stream are identical either way for contract-honoring
+// clients, and switching never changes content. Surface buffers
+// registered later, fresh or pooled, follow the setting; it survives
+// Reset, and device init sets it per session.
+func (m *Manager) SetTiles(on bool) {
+	m.tiles = on
+	if !on {
+		m.demote()
 	}
-}
-
-// ComposeMode returns the active composition strategy.
-func (m *Manager) ComposeMode() ComposeMode { return m.mode }
-
-// SetPalettes turns per-tile palette compression (which implies tile
-// tracking) on or off for the framebuffer and every surface buffer;
-// newly registered surfaces inherit the setting. Disabling realizes any
-// compressed tiles, so flipping the switch never changes content. Like
-// the compose mode it survives Reset; device init sets it per session.
-func (m *Manager) SetPalettes(on bool) {
-	m.palettes = on
-	if on {
-		m.fb.EnablePalettes()
-		for _, s := range m.surfaces {
-			s.buf.EnablePalettes()
-		}
-		return
-	}
-	m.fb.DisablePalettes()
+	m.track(m.fb)
 	for _, s := range m.surfaces {
-		s.buf.DisablePalettes()
+		m.track(s.buf)
 	}
 }
 
-// PalettesEnabled reports whether palette compression is active.
-func (m *Manager) PalettesEnabled() bool { return m.palettes }
+// track applies the pipeline setting to b.
+func (m *Manager) track(b *framebuffer.Buffer) {
+	if m.tiles {
+		b.EnableTiles()
+	} else {
+		b.DisableTiles()
+	}
+}
+
+// demote ends direct scanout, copying the scanned-out buffer into the
+// owned framebuffer.
+func (m *Manager) demote() {
+	if m.scanout != nil {
+		m.fb.CopyFrom(m.scanout.buf)
+		m.scanout = nil
+	}
+}
 
 // PaletteStats aggregates palette-compression counters over the
 // framebuffer and every registered surface buffer: tiles currently
@@ -313,12 +294,9 @@ func (m *Manager) NewSurfaceAt(name string, z int, frame framebuffer.Rect, clien
 	if frame.Empty() {
 		panic(fmt.Sprintf("surface: %q has an empty on-screen frame", name))
 	}
-	if m.scanout != nil {
-		// A second surface appears: materialize the owned framebuffer
-		// before anyone composes over the directly scanned-out buffer.
-		m.fb.CopyFrom(m.scanout.buf)
-		m.scanout = nil
-	}
+	// A second surface appears: materialize the owned framebuffer before
+	// anyone composes over a directly scanned-out buffer.
+	m.demote()
 	s := &Surface{
 		name:   name,
 		z:      z,
@@ -327,16 +305,9 @@ func (m *Manager) NewSurfaceAt(name string, z int, frame framebuffer.Rect, clien
 		client: client,
 		mgr:    m,
 	}
-	if m.mode == ComposeTiles {
-		s.buf.EnableTiles()
-	}
-	if m.palettes {
-		s.buf.EnablePalettes()
-	} else {
-		// A pooled buffer may carry palette state from a palette session;
-		// a palette-off session must not read through it.
-		s.buf.DisablePalettes()
-	}
+	// A pooled buffer may carry tile state from a tile session; an oracle
+	// session must not read through it.
+	m.track(s.buf)
 	s.region, _ = client.(RegionClient)
 	// Insert in z order (stable for equal z).
 	idx := len(m.surfaces)
@@ -408,7 +379,7 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 			s.rectScratch = append(s.rectScratch[:0], s.buf.Bounds())
 			rects = s.rectScratch
 			s.everDrawn = true
-			if m.mode == ComposeTiles && m.scanout == nil &&
+			if m.tiles && m.scanout == nil &&
 				len(m.surfaces) == 1 && s.frame == m.fb.Bounds() {
 				// Sole full-screen surface: scan its buffer out directly.
 				m.scanout = s

@@ -76,6 +76,68 @@ func TestFirstFrameComposesWholeSurface(t *testing.T) {
 	}
 }
 
+// TestSetTilesOffAfterReset crosses the pipeline switch on one manager:
+// a tile session scans its sole surface out directly from tracked
+// buffers; after Reset and SetTiles(false), the framebuffer and the
+// pooled surface buffer come back plain, frames compose by blits, and
+// direct scanout never engages. Switching off mid-session ends direct
+// scanout with the content in place.
+func TestSetTilesOffAfterReset(t *testing.T) {
+	m := NewManager(sim.NewEngine(), 64, 64)
+	m.SetTiles(true)
+	cl := &countingClient{color: framebuffer.RGB(9, 8, 7), area: framebuffer.R(0, 0, 40, 20)}
+	s := m.NewSurface("app", 1, cl)
+	if !m.Framebuffer().TilesEnabled() || !s.Buffer().TilesEnabled() {
+		t.Fatalf("tile session: framebuffer tracked=%v, surface tracked=%v",
+			m.Framebuffer().TilesEnabled(), s.Buffer().TilesEnabled())
+	}
+	s.RequestFrame()
+	m.VSync(0, 60)
+	pooled := s.Buffer()
+	if !m.DirectScanout() {
+		t.Fatal("tile session: the sole full-screen surface is not scanned out directly")
+	}
+	m.Reset()
+	m.SetTiles(false)
+	s = m.NewSurface("app", 1, cl)
+	if s.Buffer() != pooled {
+		t.Fatal("the surface did not reuse the pooled buffer")
+	}
+	if m.Framebuffer().TilesEnabled() || s.Buffer().TilesEnabled() {
+		t.Fatalf("oracle session: framebuffer tracked=%v, pooled surface tracked=%v",
+			m.Framebuffer().TilesEnabled(), s.Buffer().TilesEnabled())
+	}
+	if !s.Buffer().Equal(framebuffer.New(64, 64)) {
+		t.Fatal("oracle session: the pooled surface buffer is not blank, as New hands out")
+	}
+	for i := 1; i <= 3; i++ {
+		cl.color++
+		s.RequestFrame()
+		m.VSync(sim.Time(i)*sim.Hz(60), 60)
+		if m.DirectScanout() {
+			t.Fatalf("frame %d: oracle session scans out directly", i)
+		}
+		if m.Framebuffer().At(5, 5) != cl.color || m.Framebuffer().At(50, 50) != 0 {
+			t.Fatalf("frame %d: composed framebuffer holds %08x and %08x", i,
+				m.Framebuffer().At(5, 5), m.Framebuffer().At(50, 50))
+		}
+	}
+
+	m = NewManager(sim.NewEngine(), 64, 64)
+	m.SetTiles(true)
+	s = m.NewSurface("app", 1, cl)
+	s.RequestFrame()
+	m.VSync(0, 60)
+	m.SetTiles(false)
+	if m.DirectScanout() || m.Framebuffer().TilesEnabled() || s.Buffer().TilesEnabled() {
+		t.Fatalf("switched off mid-session: scanout=%v, framebuffer tracked=%v, surface tracked=%v",
+			m.DirectScanout(), m.Framebuffer().TilesEnabled(), s.Buffer().TilesEnabled())
+	}
+	if !m.Framebuffer().Equal(s.Buffer()) {
+		t.Fatal("switched off mid-session: the framebuffer lost the scanned-out content")
+	}
+}
+
 // redundantClient re-renders identical pixels: full render cost, no damage.
 type redundantClient struct{ renders int }
 
