@@ -23,7 +23,10 @@ race:
 # Short fuzz pass over every parser boundary (decoders must never panic
 # on hostile input; raise FUZZTIME for a real session) and the tile/naive
 # differential fuzzers (the optimized pixel pipeline must stay
-# byte-identical to its brute-force oracle).
+# byte-identical to its brute-force oracle). The four op-stream
+# differential fuzzers bound minimization to 1s per input: at the default
+# 60s, minimizing each new corpus entry used up most of a short pass. A
+# failing input is still written under testdata/fuzz, if not minimized.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadParams -fuzztime $(FUZZTIME) ./internal/app
@@ -31,10 +34,10 @@ fuzz:
 	$(GO) test -fuzz FuzzReadPPM -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzGridCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzAccumulatorCodec -fuzztime $(FUZZTIME) ./internal/fleet
-	$(GO) test -fuzz FuzzTileCompose -fuzztime $(FUZZTIME) ./internal/surface
-	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) ./internal/core
-	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) ./internal/surface
-	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) ./internal/framebuffer
+	$(GO) test -fuzz FuzzTileCompose -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/surface
+	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
+	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/surface
+	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/framebuffer
 	$(GO) test -fuzz FuzzPaletteSnapshot -fuzztime $(FUZZTIME) ./internal/framebuffer
 	$(GO) test -fuzz FuzzReadSpec -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet

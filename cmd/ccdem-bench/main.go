@@ -32,7 +32,8 @@ import (
 // suiteRegex pins the gated benchmarks: the hot-path kernels (grid sample,
 // fill, meter observe), the tile pipeline against its naive oracle
 // (compose and compare, whose naive rows double as the comparison
-// baseline), the palette representation against plain buffers (blit rows),
+// baseline), the meter's delta compare on a video frame and on a feed
+// memo view, the palette representation against plain buffers (blit rows),
 // the memo snapshot encoder over raw and compressed sources, the
 // video frame as per-band fills and as one binned batch, the feed
 // scroll step in the index domain and as raw rows, the
@@ -43,7 +44,7 @@ import (
 // benchmarks are deliberately excluded — they are too slow for a
 // -benchtime 200ms gate.
 const suiteRegex = `^(BenchmarkGridSample9K|BenchmarkFillSprite|` +
-	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|` +
+	`BenchmarkMeterObserve9K|BenchmarkTileCompare|BenchmarkTileCompose|BenchmarkMeterDelta|` +
 	`BenchmarkPaletteBlit|BenchmarkPaletteSnapshot|BenchmarkPaletteFill|BenchmarkPaletteScroll|` +
 	`BenchmarkEngineScheduleAndRun|BenchmarkEngineSteadyState|` +
 	`BenchmarkDeviceSimulation|BenchmarkDeviceSteadyState|` +

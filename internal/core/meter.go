@@ -77,12 +77,12 @@ type Meter struct {
 
 	// Tile-delta comparison state: tl and committed are built on the
 	// first tiled observation and kept across Resets on the same grid;
-	// committed holds the lattice values of the last observed frame,
-	// updated in place by DeltaCompare; lastBuf/lastGen identify the
-	// buffer and generation of the previous observation.
+	// committed holds the lattice values of the last observed frame in
+	// the lattice's tile order, updated in place by DeltaCompare;
+	// lastBuf/lastGen identify the buffer and generation of the previous
+	// observation (lastBuf nil: none since the last Reset).
 	tl        *framebuffer.TileLattice
 	committed []framebuffer.Color
-	tprimed   bool
 	lastBuf   *framebuffer.Buffer
 	lastGen   uint64
 
@@ -142,7 +142,7 @@ func (m *Meter) Reset(cfg MeterConfig) error {
 	if ow != nw || oh != nh || oc != nc || orr != nr {
 		m.tl, m.committed = nil, nil
 	}
-	m.tprimed, m.lastBuf, m.lastGen = false, nil, 0
+	m.lastBuf, m.lastGen = nil, 0
 	m.cfg = cfg
 	m.samples = cfg.Grid.Samples()
 	m.fullDur = cfg.Cost.Duration(cfg.Grid.Samples())
@@ -189,49 +189,38 @@ func (m *Meter) observeFull(t sim.Time, fb *framebuffer.Buffer) bool {
 	return m.finishObserve(t, isContent, comparedPx)
 }
 
-// observeTiled is the tile-delta comparison path. Only lattice points in
-// tiles written since the last observation are compared; the verdict and
-// first-diff index are exactly those of a full scan because an unwritten
-// tile is bitwise unchanged and committed holds its last observed values
-// (see framebuffer.TileLattice.DeltaCompare). Observing a different
-// buffer than last time — the demotion from direct scanout — falls back
-// to a full gather and compare for that frame, exactly what the naive
-// path computes.
+// observeTiled is the tile-delta comparison path: one DeltaCompare of the
+// lattice points in tiles written since the last observation. The
+// verdict and first-diff index are exactly those of a full scan because
+// an unwritten tile is bitwise unchanged and committed holds its last
+// observed values (see framebuffer.TileLattice.DeltaCompare). The first
+// observation, and one of a different buffer than last time — the
+// demotion from direct scanout — compare every tile (since 0); the first
+// is content whatever it compares.
 func (m *Meter) observeTiled(t sim.Time, fb *framebuffer.Buffer) bool {
+	if m.tl == nil {
+		m.tl = framebuffer.NewTileLattice(m.cfg.Grid)
+		m.committed = make([]framebuffer.Color, m.samples)
+	}
 	isContent := true
 	comparedPx := m.samples
-	switch {
-	case !m.tprimed:
-		// First observation: gather the full lattice; always content.
-		if m.tl == nil {
-			m.tl = framebuffer.NewTileLattice(m.cfg.Grid)
-			m.committed = make([]framebuffer.Color, m.samples)
-		}
-		m.tl.Prime(fb, m.committed)
-		m.tprimed = true
-	case fb != m.lastBuf:
-		// Buffer identity changed mid-run: full gather and compare
-		// against the committed lattice (the naive verdict).
-		m.cfg.Grid.Sample(fb, m.db.Front())
-		idx := framebuffer.SamplesFirstDiff(m.db.Front(), m.committed)
-		isContent = idx >= 0
-		if m.cfg.EarlyExit && isContent {
-			comparedPx = idx + 1
-		}
-		if isContent {
-			copy(m.committed, m.db.Front())
-		}
-	case fb.Gen() == m.lastGen:
+	if fb == m.lastBuf && fb.Gen() == m.lastGen {
 		// No mutator ran since the last observation: bitwise-identical
 		// framebuffer, the redundant-frame verdict with no pixel reads.
 		// The modeled comparison cost is still the full sweep — the
 		// simulated device performs it even though the simulator skips it.
 		isContent = false
-	default:
-		idx := m.tl.DeltaCompare(fb, m.committed, m.lastGen)
-		isContent = idx >= 0
-		if m.cfg.EarlyExit && isContent {
-			comparedPx = idx + 1
+	} else {
+		since := m.lastGen
+		if fb != m.lastBuf {
+			since = 0
+		}
+		idx := m.tl.DeltaCompare(fb, m.committed, since)
+		if m.lastBuf != nil {
+			isContent = idx >= 0
+			if m.cfg.EarlyExit && isContent {
+				comparedPx = idx + 1
+			}
 		}
 	}
 	m.lastBuf = fb

@@ -230,6 +230,89 @@ func BenchmarkTileCompare(b *testing.B) {
 	}
 }
 
+// BenchmarkMeterDelta measures the two frame shapes the meter spends its
+// time on, each one op a mutation and one ObserveFrame on the 9K grid
+// over a 720×1280 tracked screen. The video row paints an MX Player
+// frame, twelve 60-px bands over the letterboxed half in one of 64
+// rotating color sets as one FillRects batch, so every video tile is
+// dirty and the meter reads solid and two-color tiles. The memo row
+// moves a copy-on-write view onto the next of 64 palette snapshots of
+// distinct feed screens under the scrolled list's damage, the shape of
+// a feed's memo-hit frames: the meter reads the list tiles' index
+// planes, and the snapshots together overflow L2, as a device's memo
+// does.
+func BenchmarkMeterDelta(b *testing.B) {
+	const w, h = 720, 1280
+	mkMeter := func(b *testing.B) *Meter {
+		m, err := NewMeter(MeterConfig{
+			Grid:   framebuffer.GridForSamples(w, h, 9216),
+			Window: sim.Second,
+			Cost:   power.DefaultCompareCost(),
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		return m
+	}
+	b.Run("video", func(b *testing.B) {
+		var rects []framebuffer.Rect
+		for x := 0; x < w; x += 60 {
+			rects = append(rects, framebuffer.R(x, h/4, min(x+60, w), 3*h/4))
+		}
+		var sets [64][]framebuffer.Color
+		for s := range sets {
+			for k := range rects {
+				sets[s] = append(sets[s], framebuffer.RGB(uint8(s*37+k*11), uint8(s*13+k*71), uint8(s*89+k*5)))
+			}
+		}
+		fb := framebuffer.New(w, h)
+		fb.EnableTiles()
+		fb.Recycle()
+		m := mkMeter(b)
+		for i, colors := range sets {
+			fb.FillRects(rects, colors)
+			m.ObserveFrame(sim.Time(i+1)*sim.Hz(60), fb)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			fb.FillRects(rects, sets[i%len(sets)])
+			m.ObserveFrame(sim.Time(i+len(sets)+1)*sim.Hz(60), fb)
+		}
+	})
+	b.Run("memo", func(b *testing.B) {
+		// Feed screens: a 48-px header over 24-px list rows, each a 5-px
+		// header band and a 19-px body, scrolled 7 px further per screen.
+		list := framebuffer.R(0, 48, w, h)
+		src := framebuffer.New(w, h)
+		src.EnableTiles()
+		var snaps [64]*framebuffer.Buffer
+		for s := range snaps {
+			src.Fill(framebuffer.R(0, 0, w, list.Y0), framebuffer.RGB(40, 40, 60))
+			for y := list.Y0 - s*7%24; y < h; y += 24 {
+				row := uint8((y + s*7) / 24)
+				src.Fill(framebuffer.R(0, y, w, y+5).Intersect(list), framebuffer.RGB(row*13, row*29, row*47))
+				src.Fill(framebuffer.R(0, y+5, w, y+24).Intersect(list), framebuffer.RGB(row*13+110, row*29+110, row*47+110))
+			}
+			snaps[s] = framebuffer.NewPaletteSnapshot(src)
+		}
+		view := framebuffer.New(w, h)
+		view.EnableTiles()
+		damage := []framebuffer.Rect{list}
+		m := mkMeter(b)
+		for i, snap := range snaps {
+			view.ShareFromDamage(snap, damage)
+			m.ObserveFrame(sim.Time(i+1)*sim.Hz(60), view)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			view.ShareFromDamage(snaps[i%len(snaps)], damage)
+			m.ObserveFrame(sim.Time(i+len(snaps)+1)*sim.Hz(60), view)
+		}
+	})
+}
+
 // TestMeterObserveTiledZeroAlloc pins the tile-delta path's allocation
 // contract, mirroring TestMeterObserveFrameZeroAlloc for the naive path:
 // once primed, the delta observation — generation check, dirty-tile

@@ -20,16 +20,21 @@ func fuzzMeterRect(rng *rand.Rand, w, h int) framebuffer.Rect {
 }
 
 // fuzzMutate applies one random mutation to both twins, covering every
-// write path that maintains tile generations.
-func fuzzMutate(rng *rand.Rand, twins [2]*framebuffer.Buffer, aux *framebuffer.Buffer) {
+// write path that maintains tile generations: the pixel mutators, binned
+// fills, moves onto a palette snapshot of aux (whole-screen or under
+// exact damage, the memo-hit and install-screen frames; the plain twin
+// shares the same snapshot) and recycling. aux is painted in auxColors,
+// so its tiles always compress.
+func fuzzMutate(rng *rand.Rand, twins [2]*framebuffer.Buffer, aux *framebuffer.Buffer, auxColors []framebuffer.Color) {
 	w, h := twins[0].Width(), twins[0].Height()
+	anyColor := func() framebuffer.Color { return framebuffer.Color(rng.Uint32() & 0x00ffffff) }
 	var mutate func(buf *framebuffer.Buffer)
-	switch rng.Intn(5) {
+	switch rng.Intn(8) {
 	case 0:
-		r, c := fuzzMeterRect(rng, w, h), framebuffer.Color(rng.Uint32()&0x00ffffff)
+		r, c := fuzzMeterRect(rng, w, h), anyColor()
 		mutate = func(buf *framebuffer.Buffer) { buf.Fill(r, c) }
 	case 1:
-		x, y, c := rng.Intn(w), rng.Intn(h), framebuffer.Color(rng.Uint32()&0x00ffffff)
+		x, y, c := rng.Intn(w), rng.Intn(h), anyColor()
 		mutate = func(buf *framebuffer.Buffer) { buf.Set(x, y, c) }
 	case 2:
 		r, dy := fuzzMeterRect(rng, w, h), rng.Intn(2*h+1)-h
@@ -37,12 +42,77 @@ func fuzzMutate(rng *rand.Rand, twins [2]*framebuffer.Buffer, aux *framebuffer.B
 	case 3:
 		sr, dx, dy := fuzzMeterRect(rng, w, h), rng.Intn(w+10)-5, rng.Intn(h+10)-5
 		mutate = func(buf *framebuffer.Buffer) { buf.Blit(aux, sr, dx, dy) }
-	default:
+	case 4:
 		mutate = func(buf *framebuffer.Buffer) { buf.CopyFrom(aux) }
+	case 5:
+		rects, colors := fuzzBatch(rng, w, h, func() framebuffer.Color {
+			if rng.Intn(3) == 0 {
+				return anyColor()
+			}
+			return auxColors[rng.Intn(4)]
+		})
+		mutate = func(buf *framebuffer.Buffer) { buf.FillRects(rects, colors) }
+	case 6:
+		if rng.Intn(2) == 0 {
+			aux.FillRects(fuzzBatch(rng, w, h, func() framebuffer.Color { return auxColors[rng.Intn(len(auxColors))] }))
+		}
+		snap := framebuffer.NewPaletteSnapshot(aux)
+		if rng.Intn(3) == 0 {
+			mutate = func(buf *framebuffer.Buffer) { buf.ShareFrom(snap) }
+			break
+		}
+		// Damage every tile whose content changes: the ShareFromDamage
+		// contract.
+		var damage []framebuffer.Rect
+		for i := 0; i < twins[0].Tiles(); i++ {
+			r := twins[0].TileRect(i)
+		scan:
+			for y := r.Y0; y < r.Y1; y++ {
+				for x := r.X0; x < r.X1; x++ {
+					if twins[1].At(x, y) != snap.At(x, y) {
+						damage = append(damage, r)
+						break scan
+					}
+				}
+			}
+		}
+		mutate = func(buf *framebuffer.Buffer) { buf.ShareFromDamage(snap, damage) }
+	default:
+		mutate = func(buf *framebuffer.Buffer) { buf.Recycle() }
 	}
 	for _, buf := range twins {
 		mutate(buf)
 	}
+}
+
+// fuzzBatch draws a FillRects batch for a w × h screen in colors from
+// color: vertical bands or full-width rows tiling a random span (the
+// video and feed shapes, whose tiles binned fills rebuild and reuse), or
+// free rects that overlap, leave the screen or come inverted.
+func fuzzBatch(rng *rand.Rand, w, h int, color func() framebuffer.Color) ([]framebuffer.Rect, []framebuffer.Color) {
+	var rects []framebuffer.Rect
+	var colors []framebuffer.Color
+	switch rng.Intn(3) {
+	case 0: // vertical bands
+		x0, y0 := rng.Intn(w), rng.Intn(h)
+		y1, bw := y0+rng.Intn(h-y0)+1, rng.Intn(40)+1
+		for x := x0; x < w; x += bw {
+			rects = append(rects, framebuffer.R(x, y0, x+bw, y1))
+			colors = append(colors, color())
+		}
+	case 1: // full-width rows
+		y0, bh := rng.Intn(h), rng.Intn(24)+1
+		for y := y0; y < h; y += bh {
+			rects = append(rects, framebuffer.R(0, y, w, y+bh))
+			colors = append(colors, color())
+		}
+	default:
+		for n := rng.Intn(6) + 1; n > 0; n-- {
+			rects = append(rects, fuzzMeterRect(rng, w, h))
+			colors = append(colors, color())
+		}
+	}
+	return rects, colors
 }
 
 // FuzzTileCompare is the meter differential fuzzer: a tile-delta meter
@@ -99,11 +169,19 @@ func FuzzTileCompare(f *testing.F) {
 			b.EnableTiles()
 			return [2]*framebuffer.Buffer{b, twin}
 		}
-		// Two screens plus a blit source: switching the observed screen
-		// mid-run exercises the meter's demotion fallback (the
-		// direct-scanout → composed-framebuffer transition).
+		// Two screens plus a blit and snapshot source: switching the
+		// observed screen mid-run exercises the meter's demotion fallback
+		// (the direct-scanout → composed-framebuffer transition).
 		screens := [2][2]*framebuffer.Buffer{mkTwins(), mkTwins()}
-		aux := mkTwins()[0]
+		auxColors := make([]framebuffer.Color, 12)
+		for i := range auxColors {
+			auxColors[i] = framebuffer.Color(rng.Uint32() & 0x00ffffff)
+		}
+		aux := framebuffer.New(w, h)
+		for i, pix := 0, aux.Pix(); i < len(pix); i++ {
+			pix[i] = auxColors[rng.Intn(len(auxColors))]
+		}
+		aux.EnableTiles()
 		cur := 0
 
 		var now sim.Time
@@ -122,7 +200,7 @@ func FuzzTileCompare(f *testing.F) {
 						step, gotT, wantT)
 				}
 			case 1, 2: // paint the current screen
-				fuzzMutate(rng, screens[cur], aux)
+				fuzzMutate(rng, screens[cur], aux, auxColors)
 			default: // switch which buffer the display scans out
 				cur = 1 - cur
 			}

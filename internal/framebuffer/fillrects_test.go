@@ -1,6 +1,7 @@
 package framebuffer
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -69,6 +70,38 @@ func randFillBatch(rng *rand.Rand, w, h int, narrow []Color, rects []Rect, color
 			rects = append(rects, randRect())
 			colors = append(colors, color())
 		}
+	}
+	return rects, colors
+}
+
+// bandBatch appends a banded FillRects batch for a w×h buffer (h at
+// least five tiles) to rects and colors and returns them: the shapes
+// whose covered tiles FillRects rebuilds once and copies. It draws
+// either vertical bands over at least four tile rows, at tile-aligned or
+// misaligned x and y, or full-width feed rows of alternating 5-px and
+// 19-px bands; bands run off the right or bottom edge, so edge tiles of
+// a buffer that is no multiple of 32 come partial. Band colors come from
+// narrow, so a color recurs under other clips.
+func bandBatch(rng *rand.Rand, w, h int, narrow []Color, rects []Rect, colors []Color) ([]Rect, []Color) {
+	at := func(extent int) int { // a tile-aligned or a misaligned start
+		if rng.Intn(2) == 0 {
+			return rng.Intn(tilesFor(extent)) << TileShift
+		}
+		return rng.Intn(extent)
+	}
+	if rng.Intn(2) == 0 {
+		x0, y0 := at(w), at(h-4*TileSize)
+		y1 := y0 + 4*TileSize + rng.Intn(h)
+		bw := []int{60, TileSize, rng.Intn(50) + 2}[rng.Intn(3)]
+		for x, k := x0, rng.Intn(len(narrow)); x < w; x, k = x+bw, k+1 {
+			rects = append(rects, R(x, y0, x+bw, y1))
+			colors = append(colors, narrow[k%len(narrow)])
+		}
+		return rects, colors
+	}
+	for y, k := at(h), rng.Intn(len(narrow)); y < h; y, k = y+24, k+2 {
+		rects = append(rects, R(0, y, w, y+5), R(0, y+5, w, y+24))
+		colors = append(colors, narrow[k%len(narrow)], narrow[(k+1)%len(narrow)])
 	}
 	return rects, colors
 }
@@ -164,7 +197,11 @@ func checkPalState(t *testing.T, step int, a *Buffer) {
 // replaces: the same pixels, return value and tile generations after
 // every batch, from 8×8 to 107×120 and at 720×1280, over fresh, recycled
 // and copy-on-write-shared buffers whose tiles already mix solid,
-// multi-color and promoted raw representations.
+// multi-color and promoted raw representations. A third of the seeds
+// draw banded batches (bandBatch) on buffers up to 247×359, whose
+// covered tiles FillRects copies from the tile it rebuilt before them;
+// fixed batches then draw a tile almost like the one rebuilt before it,
+// so a copy that the reuse rule must refuse shows.
 func TestFillRectsMatchesFill(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -177,8 +214,12 @@ func TestFillRectsMatchesFill(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		w, h := rng.Intn(100)+8, rng.Intn(113)+8
 		batches := 6
-		if seed%40 == 0 {
+		banded := seed%3 == 1
+		switch {
+		case seed%40 == 0:
 			w, h, batches = 720, 1280, 3
+		case banded:
+			w, h = rng.Intn(200)+48, rng.Intn(200)+5*TileSize
 		}
 		f := newFillTwins(w, h)
 		// Prime a mixed representation with single fills of both kinds.
@@ -203,7 +244,11 @@ func TestFillRectsMatchesFill(t *testing.T) {
 		}
 		f.check(t, -1)
 		for step := 0; step < batches; step++ {
-			rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
+			if banded && step%3 != 2 {
+				rects, colors = bandBatch(rng, w, h, narrow, rects[:0], colors[:0])
+			} else {
+				rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
+			}
 			if w == 720 && step == 0 {
 				rects = append(rects[:0], videoBands()...)
 				colors = colors[:0]
@@ -215,6 +260,78 @@ func TestFillRectsMatchesFill(t *testing.T) {
 			f.check(t, step)
 		}
 	}
+	// Batches that draw a covered tile almost like the tile rebuilt just
+	// before it, on buffers whose tiles hold one color each, so a wrong
+	// copy shows.
+	a, b, c, d := narrow[0], narrow[1], narrow[2], narrow[3]
+	vRects, vColors := bands(100, 130, 60, a, b)
+	fRects, fColors := bands(70, 100, 0, a, b)
+	for _, tc := range []struct {
+		name   string
+		w, h   int
+		rects  []Rect
+		colors []Color
+	}{
+		{"row edge moves between tile rows", 64, 96,
+			[]Rect{R(0, 0, 64, 5), R(0, 5, 64, 32), R(0, 32, 64, 42), R(0, 42, 64, 64)}, []Color{a, b, a, b}},
+		{"band edge moves between tile rows", 64, 128,
+			[]Rect{R(0, 0, 10, 64), R(10, 0, 64, 64), R(0, 64, 20, 128), R(20, 64, 64, 128)}, []Color{a, b, a, b}},
+		{"same clips, other colors", 64, 128,
+			[]Rect{R(0, 0, 10, 64), R(10, 0, 64, 64), R(0, 64, 10, 128), R(10, 64, 64, 128)}, []Color{a, b, c, d}},
+		{"same clips, swapped order", 64, 128,
+			[]Rect{R(0, 0, 10, 64), R(10, 0, 64, 64), R(10, 64, 64, 128), R(0, 64, 10, 128)}, []Color{a, b, b, a}},
+		{"partial-width tile, then a full one", 48, 64,
+			[]Rect{R(32, 0, 48, 16), R(32, 16, 48, 32), R(0, 32, 16, 48), R(0, 48, 16, 64)}, []Color{a, b, a, b}},
+		{"partial-height tile, then a full one", 64, 48,
+			[]Rect{R(0, 32, 16, 48), R(16, 32, 32, 48), R(32, 0, 48, 16), R(48, 0, 64, 16)}, []Color{a, b, a, b}},
+		{"rejected tile, then one drawn alike", 64, 32,
+			[]Rect{R(0, 0, 10, 20), R(10, 0, 32, 20), R(32, 0, 42, 20), R(42, 0, 64, 20)}, []Color{a, b, a, b}},
+		{"vertical bands at partial edges", 100, 130, vRects, vColors},
+		{"feed rows at partial edges", 70, 100, fRects, fColors},
+	} {
+		for pass := 0; pass < 3; pass++ {
+			f := newFillTwins(tc.w, tc.h)
+			for i := 0; i < f.fill.Tiles(); i++ {
+				tileColor := RGB(uint8(i*53), uint8(i*101), uint8(i*7+pass))
+				f.rects.Fill(f.rects.TileRect(i), tileColor)
+				f.fill.Fill(f.fill.TileRect(i), tileColor)
+				if pass == 1 { // a two-color tile
+					f.rects.Fill(R(0, 0, 3, 3).Intersect(f.rects.TileRect(i)), tileColor+1)
+					f.fill.Fill(R(0, 0, 3, 3).Intersect(f.fill.TileRect(i)), tileColor+1)
+				}
+			}
+			if pass == 2 { // raw tiles
+				f.rects.DisableTiles()
+				f.rects.EnableTiles()
+				f.fill.DisableTiles()
+				f.fill.EnableTiles()
+			}
+			t.Run(fmt.Sprintf("%s/%d", tc.name, pass), func(t *testing.T) {
+				f.batch(t, 0, tc.rects, tc.colors)
+				f.check(t, 0)
+			})
+		}
+	}
+}
+
+// bands returns rects in colors alternating a and b: vertical bands of
+// width bw over a w×h buffer when bw > 0, else full-width feed rows of
+// 5-px headers and 19-px bodies; the last band runs past the edge.
+func bands(w, h, bw int, a, b Color) ([]Rect, []Color) {
+	var rects []Rect
+	var colors []Color
+	for x, y, k := 0, 0, 0; x < w && y < h; k++ {
+		if bw > 0 {
+			rects = append(rects, R(x, 0, x+bw, h))
+			x += bw
+		} else {
+			bh := []int{5, 19}[k%2]
+			rects = append(rects, R(0, y, w, y+bh))
+			y += bh
+		}
+		colors = append(colors, []Color{a, b}[k%2])
+	}
+	return rects, colors
 }
 
 // TestFillRectsEmptyBatchStaysShared checks that a batch with nothing on

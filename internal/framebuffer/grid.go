@@ -20,8 +20,9 @@ type Grid struct {
 	flat []int32
 	// tileOf and nibPos locate each lattice point in the tile layer:
 	// tileOf[i] is the 32×32 tile index and nibPos[i] the tile-local
-	// nibble offset, so sampling and delta comparison read
-	// palette-compressed tiles without decoding them (see palette.go).
+	// nibble offset, so sampling reads palette-compressed tiles without
+	// decoding them (see palette.go), and NewTileLattice orders the
+	// points by tile.
 	tileOf []int32
 	nibPos []int32
 }

@@ -322,10 +322,11 @@ func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
 // own generation exactly as its Fill would, and then resolves every
 // touched tile once: a tile one rect reaches takes fillTile; a tile its
 // rects cover completely in at most PaletteCap colors is rebuilt by
-// fillCovered; any other tile replays its rects in order through
-// fillTile. At least one rect must be non-empty once clamped, and b must
-// be materialized. The bins live on the tile set and are reused, so a
-// steady stream of batches does not allocate.
+// fillCovered, or copied from the last tile fillCovered rebuilt when its
+// rects draw alike (sameDraw); any other tile replays its rects in order
+// through fillTile. At least one rect must be non-empty once clamped,
+// and b must be materialized. The bins live on the tile set and are
+// reused, so a steady stream of batches does not allocate.
 func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 	t := b.tiles
 	if t.binN == nil {
@@ -370,24 +371,64 @@ func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 			}
 		}
 	}
+	// The last tile fillCovered rebuilt: a later tile its rects draw
+	// alike takes a copy of it (see sameDraw).
+	last, lastTr, lastKs := -1, Rect{}, []int32(nil)
 	for _, bn := range bins {
 		i := int(bn.ty)*t.cols + int(bn.tx)
 		ks := binK[bn.off:t.binN[i]]
 		t.binN[i] = 0
 		tr := Rect{int(bn.tx) << TileShift, int(bn.ty) << TileShift, int(bn.tx+1) << TileShift, int(bn.ty+1) << TileShift}.
 			Clamp(bounds)
-		if len(ks) == 1 {
+		switch {
+		case len(ks) == 1:
 			b.fillTile(i, tr, rects[ks[0]].Intersect(tr), colors[ks[0]])
-			continue
-		}
-		if b.fillCovered(i, tr, rects, colors, ks) {
-			continue
-		}
-		for _, k := range ks {
-			b.fillTile(i, tr, rects[k].Intersect(tr), colors[k])
+		case last >= 0 && sameDraw(rects, colors, ks, tr, lastKs, lastTr):
+			t.copyPal(i, t, last)
+		case b.fillCovered(i, tr, rects, colors, ks):
+			last, lastTr, lastKs = i, tr, ks
+		default:
+			for _, k := range ks {
+				b.fillTile(i, tr, rects[k].Intersect(tr), colors[k])
+			}
 		}
 	}
 	t.bins, t.binK = bins, binK
+}
+
+// sameDraw reports whether rects ks draw over tile tr exactly what rects
+// lastKs drew over tile lastTr: the same colors over the same tile-local
+// clips, in the same order, on tiles of the same size. fillCovered's
+// output depends on nothing else but the tile's nibbles past a partial
+// edge, which are zero in every plane, so a tile drawn alike to one it
+// rebuilt is that tile's copy. Bins run in first-touch order, so the
+// last rebuilt tile is the one above in a vertical band and the one to
+// the left in a full-width row.
+func sameDraw(rects []Rect, colors []Color, ks []int32, tr Rect, lastKs []int32, lastTr Rect) bool {
+	if len(ks) != len(lastKs) || tr.Dx() != lastTr.Dx() || tr.Dy() != lastTr.Dy() {
+		return false
+	}
+	for j, k := range ks {
+		p := lastKs[j]
+		c, lc := rects[k].Intersect(tr), rects[p].Intersect(lastTr)
+		if colors[k] != colors[p] || c.X0-tr.X0 != lc.X0-lastTr.X0 || c.X1-tr.X0 != lc.X1-lastTr.X0 ||
+			c.Y0-tr.Y0 != lc.Y0-lastTr.Y0 || c.Y1-tr.Y0 != lc.Y1-lastTr.Y0 {
+			return false
+		}
+	}
+	return true
+}
+
+// copyPal makes tile i a copy of st's compressed tile si: its palette
+// size, index plane and palette.
+func (t *tileSet) copyPal(i int, st *tileSet, si int) {
+	if t.palN[i] == 0 {
+		t.palTiles++
+	}
+	n := st.palN[si]
+	t.palN[i] = n
+	copy(t.tilePlane(i), st.tilePlane(si))
+	copy(t.tilePal(i), st.tilePal(si)[:n])
 }
 
 // tileBin is one touched tile of a FillRects batch and the offset of its
@@ -518,12 +559,7 @@ func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
 	t := b.tiles
 	if st := src.repr().tiles; st != nil && st.palTiles > 0 {
 		if si := (sy>>TileShift)*st.cols + sx>>TileShift; st.palN[si] > 0 {
-			if t.palN[i] == 0 {
-				t.palTiles++
-			}
-			t.palN[i] = st.palN[si]
-			copy(t.tilePlane(i), st.tilePlane(si))
-			copy(t.tilePal(i), st.tilePal(si))
+			t.copyPal(i, st, si)
 			return
 		}
 	}

@@ -249,56 +249,65 @@ func (b *Buffer) copyRows(src *Buffer, sx, sy int, dst Rect) {
 	}
 }
 
-// TileLattice groups a comparison Grid's lattice points by the 32×32
-// tile containing them (CSR layout), so the meter can compare only the
-// lattice points of tiles written since its last observation. Combined
-// with the generation contract — an unwritten tile is bitwise unchanged
-// — the restricted comparison returns exactly the verdict and first-diff
-// index of a full-lattice scan.
+// TileLattice stores a comparison Grid's lattice points in tile order
+// (CSR layout): the points inside each 32×32 tile form one contiguous
+// run, ascending by lattice index, so the meter can compare only the
+// runs of tiles written since its last observation, each resolved once
+// through its tile's representation. Combined with the generation
+// contract — an unwritten tile is bitwise unchanged — the restricted
+// comparison returns exactly the verdict and first-diff index of a
+// full-lattice scan.
+//
+// The committed lattice a caller keeps for DeltaCompare is in the same
+// tile order: committed[j] holds the point whose lattice index is
+// lat[j].
 type TileLattice struct {
 	g     Grid
-	start []int32 // per tile, offset into lat (len tiles+1)
-	lat   []int32 // lattice indices grouped by tile, ascending per group
+	start []int32  // per tile, the offset of its run (len tiles+1)
+	lat   []int32  // per run position, the lattice index
+	pix   []int32  // per run position, the row-major pixel offset
+	nib   []uint16 // per run position, the tile-local nibble offset
 }
 
-// NewTileLattice precomputes the tile → lattice-point index.
+// NewTileLattice precomputes the tile-ordered point tables. lat and pix
+// share one allocation and the runs are laid out without a cursor array,
+// so a lattice costs four allocations: perfgate pins the allocation
+// counts of device set-up.
 func NewTileLattice(g Grid) *TileLattice {
-	tcols, trows := tilesFor(g.w), tilesFor(g.h)
-	nt := tcols * trows
+	nt := tilesFor(g.w) * tilesFor(g.h)
 	n := g.Samples()
-	tileOf := func(i int) int {
-		x := g.xs[i%g.cols]
-		y := g.ys[i/g.cols]
-		return (y>>TileShift)*tcols + x>>TileShift
+	lp := make([]int32, 2*n)
+	tl := &TileLattice{g: g, start: make([]int32, nt+1), lat: lp[:n:n], pix: lp[n:], nib: make([]uint16, n)}
+	// Count each tile's points and sum them, so start[ti] is the end of
+	// tile ti's run; placing the points last to first then moves it down
+	// to the run's start and keeps each run ascending.
+	for _, ti := range g.tileOf {
+		tl.start[ti]++
 	}
-	start := make([]int32, nt+1)
-	for i := 0; i < n; i++ {
-		start[tileOf(i)+1]++
+	for ti := 1; ti <= nt; ti++ {
+		tl.start[ti] += tl.start[ti-1]
 	}
-	for t := 0; t < nt; t++ {
-		start[t+1] += start[t]
+	for i := n - 1; i >= 0; i-- {
+		ti := g.tileOf[i]
+		tl.start[ti]--
+		j := tl.start[ti]
+		tl.lat[j], tl.pix[j], tl.nib[j] = int32(i), g.flat[i], uint16(g.nibPos[i])
 	}
-	lat := make([]int32, n)
-	cursor := make([]int32, nt)
-	copy(cursor, start[:nt])
-	for i := 0; i < n; i++ {
-		t := tileOf(i)
-		lat[cursor[t]] = int32(i)
-		cursor[t]++
-	}
-	return &TileLattice{g: g, start: start, lat: lat}
+	return tl
 }
 
-// Prime gathers the full lattice of buf into committed — the first
-// observation of a buffer, against which later deltas run.
-func (tl *TileLattice) Prime(buf *Buffer, committed []Color) {
-	tl.g.Sample(buf, committed)
-}
-
-// DeltaCompare compares buf's lattice points against committed,
-// restricted to tiles written after sinceGen, updating committed in
-// place for every differing point. It returns the minimum differing
-// lattice index, or -1 when no compared point differs.
+// DeltaCompare compares buf's lattice points against committed (in tile
+// order), restricted to tiles written after sinceGen, updating committed
+// in place for every differing point. It returns the minimum differing
+// lattice index, or -1 when no compared point differs. sinceGen 0
+// compares every tile: the first observation of a buffer, which leaves
+// committed equal to its lattice whatever it held before.
+//
+// Each dirty tile's run is resolved once, by the tile's representation:
+// a solid tile compares the run against its one color, a compressed tile
+// decodes the run's nibbles through its palette, and a raw tile gathers
+// pixels. The tile's first differing position maps through lat to its
+// smallest differing lattice index.
 //
 // Exactness: a tile with tgen <= sinceGen is bitwise unchanged since the
 // generation snapshot, and committed held the then-current lattice
@@ -319,45 +328,82 @@ func (tl *TileLattice) DeltaCompare(buf *Buffer, committed []Color, sinceGen uin
 		panic(fmt.Sprintf("framebuffer: DeltaCompare committed length %d, want %d", len(committed), tl.g.Samples()))
 	}
 	// Content is read through the representation: the metered buffer may
-	// be a copy-on-write view of a memoized screen, and dirty tiles may
-	// be palette-compressed. Generations always come from buf's own tile
-	// set — a view tracks its own churn.
+	// be a copy-on-write view of a memoized screen (tracked or plain), and
+	// dirty tiles may be palette-compressed. Generations always come from
+	// buf's own tile set — a view tracks its own churn.
 	rb := buf.repr()
 	rt := rb.tiles
-	pix := rb.pix
-	flat := tl.g.flat
-	usePal := rt != nil && rt.palTiles > 0
 	min := -1
 	for ti, tg := range t.tgen {
 		if tg <= sinceGen {
 			continue
 		}
-		if usePal && rt.palN[ti] > 0 {
-			plane := rt.tilePlane(ti)
-			pal := rt.tilePal(ti)
-			for _, li := range tl.lat[tl.start[ti]:tl.start[ti+1]] {
-				np := tl.g.nibPos[li]
-				v := pal[plane[np>>1]>>(uint(np&1)*4)&0xF]
-				if v != committed[li] {
-					committed[li] = v
-					if min < 0 || int(li) < min {
-						min = int(li)
-					}
-				}
-			}
-			continue
+		s, e := tl.start[ti], tl.start[ti+1]
+		run := committed[s:e]
+		var d int
+		switch {
+		case rt == nil || rt.palN[ti] == 0:
+			d = gatherDiff(run, rb.pix, tl.pix[s:e])
+		case rt.palN[ti] == 1:
+			d = solidDiff(run, rt.pal[ti*PaletteCap])
+		default:
+			d = planeDiff(run, (*[planeTileBytes]byte)(rt.tilePlane(ti)), (*[PaletteCap]Color)(rt.tilePal(ti)), tl.nib[s:e])
 		}
-		for _, li := range tl.lat[tl.start[ti]:tl.start[ti+1]] {
-			if v := pix[flat[li]]; v != committed[li] {
-				committed[li] = v
-				if min < 0 || int(li) < min {
-					min = int(li)
-				}
+		if d >= 0 {
+			if li := int(tl.lat[int(s)+d]); min < 0 || li < min {
+				min = li
 			}
 		}
 	}
 	return min
 }
 
-// Samples returns the lattice size.
-func (tl *TileLattice) Samples() int { return tl.g.Samples() }
+// solidDiff compares run against c, the color of a solid tile, and sets
+// it to c. It returns the first differing position, or -1. planeDiff
+// would return the same (a solid tile's plane is all zero), but a
+// re-filled solid tile keeps its plane untouched (see fillTile), so
+// decoding it would pull a cold 512-byte plane into cache for nothing.
+func solidDiff(run []Color, c Color) int {
+	for j, v := range run {
+		if v != c {
+			for k := j; k < len(run); k++ {
+				run[k] = c
+			}
+			return j
+		}
+	}
+	return -1
+}
+
+// planeDiff compares run against a compressed tile's content at the
+// tile-local nibble offsets nib, decoded through pal, and refreshes run
+// from the first differing position on. It returns that position, or -1.
+func planeDiff(run []Color, plane *[planeTileBytes]byte, pal *[PaletteCap]Color, nib []uint16) int {
+	run = run[:len(nib)]
+	at := func(np uint16) Color { return pal[plane[(np>>1)&(planeTileBytes-1)]>>((np&1)*4)&0xF] }
+	for j, np := range nib {
+		if at(np) != run[j] {
+			for k := j; k < len(nib); k++ {
+				run[k] = at(nib[k])
+			}
+			return j
+		}
+	}
+	return -1
+}
+
+// gatherDiff compares run against the raw pixels at offsets at and
+// refreshes run from the first differing position on. It returns that
+// position, or -1.
+func gatherDiff(run, pix []Color, at []int32) int {
+	run = run[:len(at)]
+	for j, p := range at {
+		if pix[p] != run[j] {
+			for k := j; k < len(at); k++ {
+				run[k] = pix[at[k]]
+			}
+			return j
+		}
+	}
+	return -1
+}

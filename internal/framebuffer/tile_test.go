@@ -356,8 +356,13 @@ func TestShareFromCopyOnWrite(t *testing.T) {
 // TestTileLatticeDeltaMatchesFullScan is the meter-side differential
 // property: DeltaCompare restricted to dirty tiles returns exactly the
 // verdict and first-diff index of a full lattice scan, across arbitrary
-// mutation histories, and leaves committed equal to the current lattice
-// values whenever it reports content.
+// mutation histories, and leaves committed (in tile order, read through
+// lat) equal to the current lattice values. Beside the mutators, a
+// history holds full compares (sinceGen 0, the meter's buffer-switch
+// path), copy-on-write views of palette snapshots moved by
+// ShareFromDamage (the memo-hit frames of a feed), whole-tile solid
+// fills (the palN == 1 runs), and writes to scattered lattice points,
+// whose minimum index need not lie in the first dirty tile.
 func TestTileLatticeDeltaMatchesFullScan(t *testing.T) {
 	for _, dims := range [][2]int{{64, 64}, {96, 130}, {33, 47}} {
 		w, h := dims[0], dims[1]
@@ -367,33 +372,104 @@ func TestTileLatticeDeltaMatchesFullScan(t *testing.T) {
 		buf := noisyBuffer(rng, w, h)
 		buf.EnableTiles()
 		aux := noisyBuffer(rng, w, h)
-
-		committed := make([]Color, g.Samples())
-		tl.Prime(buf, committed)
-		sinceGen := buf.Gen()
+		memos := snapshotScreens(rng, w, h, 4)
 
 		full := make([]Color, g.Samples())
-		for step := 0; step < 150; step++ {
-			if rng.Intn(4) > 0 { // sometimes observe an unchanged frame
-				mutate(rng, buf, nil, aux)
+		prev := make([]Color, g.Samples())
+		// The first compare starts from stale values, as a meter's
+		// committed lattice does after a Reset.
+		committed := make([]Color, g.Samples())
+		for j := range committed {
+			committed[j] = Color(rng.Uint32())
+		}
+		sinceGen := uint64(0)
+		for step := 0; step < 200; step++ {
+			if step > 0 {
+				switch rng.Intn(9) {
+				case 0: // observe an unchanged frame
+				case 1: // full compare mid-history, sometimes after a write
+					if rng.Intn(2) == 0 {
+						mutate(rng, buf, nil, aux)
+					}
+					sinceGen = 0
+				case 2: // move to a memo screen, damaging what differs
+					memo := memos[rng.Intn(len(memos))]
+					buf.ShareFromDamage(memo, diffTiles(buf, memo))
+				case 3: // whole-tile solid fills, sometimes repeating a color
+					tx0, ty0 := rng.Intn(tilesFor(w)), rng.Intn(tilesFor(h))
+					r := Rect{tx0 << TileShift, ty0 << TileShift,
+						(tx0 + rng.Intn(3) + 1) << TileShift, (ty0 + rng.Intn(3) + 1) << TileShift}
+					c := buf.At(r.X0, r.Y0)
+					if rng.Intn(2) == 0 {
+						c = Color(rng.Uint32() & 0x00ffffff)
+					}
+					buf.Fill(r, c)
+				case 4: // scattered lattice points: the minimum index may sit in a later tile
+					for k := rng.Intn(4) + 2; k > 0; k-- {
+						li := rng.Intn(g.Samples())
+						buf.Set(g.xs[li%g.cols], g.ys[li/g.cols], Color(rng.Uint32()&0x00ffffff))
+					}
+				default:
+					mutate(rng, buf, nil, aux)
+				}
 			}
-			// Reference: full gather against a snapshot of committed.
-			prev := make([]Color, len(committed))
-			copy(prev, committed)
+			// Reference: full gather against committed, read in grid
+			// order.
+			for j, li := range tl.lat {
+				prev[li] = committed[j]
+			}
 			g.Sample(buf, full)
 			want := SamplesFirstDiff(full, prev)
 
 			got := tl.DeltaCompare(buf, committed, sinceGen)
-			if got != want {
-				t.Fatalf("%dx%d step %d: DeltaCompare = %d, full scan = %d", w, h, step, got, want)
+			if step > 0 && got != want {
+				t.Fatalf("%dx%d step %d (since %d): DeltaCompare = %d, full scan = %d", w, h, step, sinceGen, got, want)
 			}
-			// Invariant: committed now equals the current lattice.
-			if d := SamplesFirstDiff(full, committed); d >= 0 {
-				t.Fatalf("%dx%d step %d: committed stale at index %d after DeltaCompare", w, h, step, d)
+			for j, li := range tl.lat {
+				if committed[j] != full[li] {
+					t.Fatalf("%dx%d step %d: committed stale at lattice index %d after DeltaCompare", w, h, step, li)
+				}
 			}
 			sinceGen = buf.Gen()
 		}
 	}
+}
+
+// snapshotScreens returns n palette snapshots of w × h screens painted
+// with random fills in five colors, so every tile compresses.
+func snapshotScreens(rng *rand.Rand, w, h, n int) []*Buffer {
+	colors := []Color{RGB(10, 10, 10), RGB(200, 30, 30), RGB(30, 200, 30), RGB(30, 30, 200), RGB(240, 240, 240)}
+	var out []*Buffer
+	for len(out) < n {
+		src := New(w, h)
+		src.EnableTiles()
+		for k := rng.Intn(12) + 1; k > 0; k-- {
+			src.Fill(randRectIn(rng, w, h), colors[rng.Intn(len(colors))])
+		}
+		out = append(out, NewPaletteSnapshot(src))
+	}
+	return out
+}
+
+// diffTiles returns the rects of b's tiles whose content differs from
+// src's: a damage report that honors ShareFromDamage's contract.
+func diffTiles(b, src *Buffer) []Rect {
+	var rects []Rect
+	for ty := 0; ty < tilesFor(b.h); ty++ {
+		for tx := 0; tx < tilesFor(b.w); tx++ {
+			r := Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}.Clamp(b.Bounds())
+		scan:
+			for y := r.Y0; y < r.Y1; y++ {
+				for x := r.X0; x < r.X1; x++ {
+					if b.At(x, y) != src.At(x, y) {
+						rects = append(rects, r)
+						break scan
+					}
+				}
+			}
+		}
+	}
+	return rects
 }
 
 // TestTileStateAllocFree pins the steady-state allocation contract of the
