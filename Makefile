@@ -23,10 +23,11 @@ race:
 # Short fuzz pass over every parser boundary (decoders must never panic
 # on hostile input; raise FUZZTIME for a real session) and the tile/naive
 # differential fuzzers (the optimized pixel pipeline must stay
-# byte-identical to its brute-force oracle). The four op-stream
-# differential fuzzers bound minimization to 1s per input: at the default
-# 60s, minimizing each new corpus entry used up most of a short pass. A
-# failing input is still written under testdata/fuzz, if not minimized.
+# byte-identical to its brute-force oracle). The five op-stream
+# differential fuzzers and FuzzReadScenario bound minimization to 1s per
+# input: at the default 60s, minimizing each new corpus entry used up most
+# of a short pass. A failing input is still written under testdata/fuzz,
+# if not minimized.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test -fuzz FuzzReadParams -fuzztime $(FUZZTIME) ./internal/app
@@ -38,10 +39,12 @@ fuzz:
 	$(GO) test -fuzz FuzzTileCompare -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -fuzz FuzzPaletteCompose -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/surface
 	$(GO) test -fuzz FuzzPaletteCompare -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/framebuffer
-	$(GO) test -fuzz FuzzPaletteSnapshot -fuzztime $(FUZZTIME) ./internal/framebuffer
+	$(GO) test -fuzz FuzzPaletteSnapshot -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/framebuffer
 	$(GO) test -fuzz FuzzReadSpec -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime $(FUZZTIME) ./internal/svc
+	$(GO) test -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -fuzz FuzzReadScenario -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario
 
 # Benchmark-regression gate over the pinned hot-path suite (see
 # cmd/ccdem-bench): medians of repeated runs vs results/bench_baseline.json.

@@ -99,7 +99,16 @@ func bandBatch(rng *rand.Rand, w, h int, narrow []Color, rects []Rect, colors []
 		}
 		return rects, colors
 	}
-	for y, k := at(h), rng.Intn(len(narrow)); y < h; y, k = y+24, k+2 {
+	y0 := at(h)
+	return feedRows(w, h, y0, rng.Intn(len(narrow)), narrow, rects, colors)
+}
+
+// feedRows appends to rects and colors full-width feed rows over a w×h
+// buffer from row y0 down: alternating 5-px and 19-px bands in colors
+// narrow[k], narrow[k+1], ... (cyclically). Every full tile of a tile row
+// then shows what the tile to its left shows.
+func feedRows(w, h, y0, k int, narrow []Color, rects []Rect, colors []Color) ([]Rect, []Color) {
+	for y := y0; y < h; y, k = y+24, k+2 {
 		rects = append(rects, R(0, y, w, y+5), R(0, y+5, w, y+24))
 		colors = append(colors, narrow[k%len(narrow)], narrow[(k+1)%len(narrow)])
 	}

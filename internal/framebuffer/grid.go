@@ -147,16 +147,10 @@ func (g Grid) samplePal(rb *Buffer, dst []Color) {
 			dst[i] = pix[fi]
 			continue
 		}
-		np := int(g.nibPos[i])
-		nib := t.plane[ti*planeTileBytes+np>>1] >> (uint(np&1) * 4)
-		dst[i] = t.pal[ti*PaletteCap+int(nib&0xF)]
+		np, s := int(g.nibPos[i]), t.slotOf(ti)
+		nib := t.plane[s*planeTileBytes+np>>1] >> (uint(np&1) * 4)
+		dst[i] = t.pal[s*PaletteCap+int(nib&0xF)]
 	}
-}
-
-// SamplesDiffer reports whether two sampled lattices differ anywhere. Both
-// slices must have equal length.
-func SamplesDiffer(a, b []Color) bool {
-	return SamplesFirstDiff(a, b) >= 0
 }
 
 // SamplesFirstDiff returns the index of the first differing sample, or -1

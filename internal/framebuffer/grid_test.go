@@ -66,14 +66,20 @@ func TestGridFullResolutionIsIdentity(t *testing.T) {
 	}
 }
 
+// samplesDiffer reports whether two sampled lattices differ anywhere. Both
+// slices must have equal length.
+func samplesDiffer(a, b []Color) bool {
+	return SamplesFirstDiff(a, b) >= 0
+}
+
 func TestSamplesDiffer(t *testing.T) {
 	a := []Color{1, 2, 3}
 	b := []Color{1, 2, 3}
-	if SamplesDiffer(a, b) {
+	if samplesDiffer(a, b) {
 		t.Error("identical samples reported different")
 	}
 	b[2] = 9
-	if !SamplesDiffer(a, b) {
+	if !samplesDiffer(a, b) {
 		t.Error("different samples reported identical")
 	}
 }
@@ -127,7 +133,7 @@ func TestGridDetectionProperty(t *testing.T) {
 				}
 			}
 		}
-		if got := SamplesDiffer(prev, cur); got != onLattice {
+		if got := samplesDiffer(prev, cur); got != onLattice {
 			t.Fatalf("pixel (%d,%d): detected=%v onLattice=%v", x, y, got, onLattice)
 		}
 		b.Set(x, y, old)

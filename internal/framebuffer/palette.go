@@ -1,8 +1,11 @@
 package framebuffer
 
 import (
+	"bytes"
 	"encoding/binary"
 	"math/bits"
+	"slices"
+	"sync"
 )
 
 // Palette-compressed tiles: the *Surface Compression Using Dynamic Color
@@ -76,23 +79,49 @@ func (b *Buffer) PalettePromotions() uint64 {
 	return b.tiles.promotions
 }
 
-// tilePal returns tile i's palette storage (PaletteCap entries).
+// slotOf returns the storage slot of tile i's plane and palette: i itself,
+// except in a snapshot, whose alike tiles share slots.
+func (t *tileSet) slotOf(i int) int {
+	if t.slot != nil {
+		return int(t.slot[i])
+	}
+	return i
+}
+
+// tilePal returns tile i's palette storage (PaletteCap entries). It
+// resolves the slot itself rather than through slotOf, which keeps it
+// cheap enough for palIndex to stay inlinable.
 func (t *tileSet) tilePal(i int) []Color {
-	return t.pal[i*PaletteCap : i*PaletteCap+PaletteCap : i*PaletteCap+PaletteCap]
+	if t.slot != nil {
+		i = int(t.slot[i])
+	}
+	return t.pal[i*PaletteCap : (i+1)*PaletteCap : (i+1)*PaletteCap]
 }
 
 // tilePlane returns tile i's 512-byte index plane.
 func (t *tileSet) tilePlane(i int) []byte {
+	if t.slot != nil {
+		i = int(t.slot[i])
+	}
 	return t.plane[i*planeTileBytes : (i+1)*planeTileBytes : (i+1)*planeTileBytes]
+}
+
+// alike reports whether compressed tiles a and b are stored alike: the
+// same palette size, palette entries in use and index plane. Tiles of one
+// size stored alike show the same content, so NewPaletteSnapshot gives
+// them the same bytes without re-indexing the second.
+func (t *tileSet) alike(a, b int) bool {
+	n := t.palN[a]
+	return n > 0 && n == t.palN[b] && slices.Equal(t.tilePal(a)[:n], t.tilePal(b)[:n]) &&
+		bytes.Equal(t.tilePlane(a), t.tilePlane(b))
 }
 
 // palIndex returns tile i's palette index for c, appending c when the
 // palette has room, or -1 on overflow.
 func (t *tileSet) palIndex(i int, c Color) int {
-	pal := t.tilePal(i)
-	n := int(t.palN[i])
-	for k := 0; k < n; k++ {
-		if pal[k] == c {
+	pal, n := t.tilePal(i), t.palN[i]
+	for k, p := range pal[:n] {
+		if p == c {
 			return k
 		}
 	}
@@ -100,8 +129,8 @@ func (t *tileSet) palIndex(i int, c Color) int {
 		return -1
 	}
 	pal[n] = c
-	t.palN[i] = uint8(n + 1)
-	return n
+	t.palN[i]++
+	return int(n)
 }
 
 // dropPalettes discards all palette state without decoding — used when
@@ -123,9 +152,9 @@ func (b *Buffer) colorAt(x, y int) Color {
 	if t := b.tiles; t != nil && t.palTiles > 0 {
 		ti := (y>>TileShift)*t.cols + x>>TileShift
 		if t.palN[ti] > 0 {
-			np := (y&tileMask)<<TileShift + x&tileMask
-			nib := t.plane[ti*planeTileBytes+np>>1] >> (uint(np&1) * 4)
-			return t.pal[ti*PaletteCap+int(nib&0xF)]
+			np, s := (y&tileMask)<<TileShift+x&tileMask, t.slotOf(ti)
+			nib := t.plane[s*planeTileBytes+np>>1] >> (uint(np&1) * 4)
+			return t.pal[s*PaletteCap+int(nib&0xF)]
 		}
 	}
 	return b.pix[y*b.w+x]
@@ -214,15 +243,11 @@ func (b *Buffer) realizeRegion(r Rect) {
 	}
 }
 
-// realizeAll realizes every compressed tile, allocating the pixel array
-// of a snapshot, which has none (see NewPaletteSnapshot).
+// realizeAll realizes every compressed tile.
 func (b *Buffer) realizeAll() {
 	t := b.tiles
 	if t == nil || t.palTiles == 0 {
 		return
-	}
-	if b.pix == nil {
-		b.pix = make([]Color, b.w*b.h)
 	}
 	for i := range t.palN {
 		if t.palN[i] > 0 {
@@ -498,8 +523,9 @@ func (b *Buffer) fillCovered(i int, tr Rect, rects []Rect, colors []Color, ks []
 }
 
 // copyAllFrom copies src's full content into b, staying in the palette
-// domain wholesale when both sides are tracked. b must be materialized
-// and match src's dimensions; src is read through its representation.
+// domain tile by tile when both sides are tracked (a snapshot source's
+// tiles share slots). b must be materialized and match src's dimensions;
+// src is read through its representation.
 func (b *Buffer) copyAllFrom(src *Buffer) {
 	rs := src.repr()
 	st, bt := rs.tiles, b.tiles
@@ -512,8 +538,10 @@ func (b *Buffer) copyAllFrom(src *Buffer) {
 		}
 	case bt != nil:
 		copy(bt.palN, st.palN)
-		copy(bt.plane, st.plane)
-		copy(bt.pal, st.pal)
+		for i := range bt.palN {
+			copy(bt.tilePlane(i), st.tilePlane(i))
+			copy(bt.tilePal(i), st.tilePal(i))
+		}
 		bt.palTiles = st.palTiles
 		if rs.pix != nil {
 			copy(b.pix, rs.pix)
@@ -651,28 +679,6 @@ func (b *Buffer) scrollTile(i int, tr, mv Rect, dy int) bool {
 	return true
 }
 
-// EncodeAll palette-compresses every raw tile whose content fits
-// PaletteCap colors; the others stay raw.
-func (b *Buffer) EncodeAll() {
-	b.own()
-	t := b.tiles
-	if t == nil {
-		return
-	}
-	for i := range t.palN {
-		if t.palN[i] > 0 {
-			continue
-		}
-		plane := t.tilePlane(i)
-		clear(plane) // encodeRows writes into a zeroed plane
-		p := snapPal{pal: t.tilePal(i)}
-		if p.encodeRows(plane, b.pix, b.w, b.TileRect(i)) {
-			t.palN[i] = uint8(p.n)
-			t.palTiles++
-		}
-	}
-}
-
 // Recycle returns a parked buffer to the blank content New would hand
 // out, so a session reads — and a client that under-paints its first
 // frame composes — the same bytes whether a free pool gave it fresh or
@@ -691,12 +697,10 @@ func (b *Buffer) EncodeAll() {
 // full paint of the next session rebuilds the representation from
 // content alone, so nothing downstream can tell the difference.
 func (b *Buffer) Recycle() {
+	b.writable()
 	if b.shared != nil {
 		b.shared = nil
 		b.pix, b.spare = b.spare, nil
-	}
-	if b.pix == nil {
-		b.pix = make([]Color, b.w*b.h)
 	}
 	t := b.tiles
 	if t == nil {
@@ -717,9 +721,8 @@ func (b *Buffer) Recycle() {
 
 // NewPaletteSnapshot builds a palette-compressed copy of src's current
 // content (read through src's representation) without ever allocating a
-// raw pixel array — the storage behind the app layer's memoized screens
-// (~0.55 MB instead of ~3.7 MB at 720×1280). It returns nil when any
-// tile needs more than PaletteCap colors.
+// raw pixel array — the storage behind the app layer's memoized screens.
+// It returns nil when any tile needs more than PaletteCap colors.
 //
 // The bytes are a function of content alone: each tile lists its colors
 // in first-occurrence (row-major) order, and unused palette entries and
@@ -728,30 +731,106 @@ func (b *Buffer) Recycle() {
 // re-indexed without decoding: their plane rows are copied and remapped in
 // place (see snapPal.remapRows), which visits indices in pixel order and
 // so builds the palette encoding the decoded pixels would.
+//
+// Each run of alike tiles is stored once: tile i shares tile i−1's slot
+// (palette and plane) exactly when both are the same size and their
+// bytes are equal, so the slot layout is a function of content too. A
+// tile whose source is stored like its left neighbour's (alike, or equal
+// raw rows) shares without being encoded. A feed screen, whose list rows
+// span the screen, then takes ~0.06 MB instead of ~0.55 MB at 720×1280
+// (~3.7 MB raw).
+//
+// A snapshot is read-only: a write through a shared slot would change
+// every tile sharing it, so its mutators panic. Views (ShareFrom) copy
+// their tiles out on their first write as usual.
 func NewPaletteSnapshot(src *Buffer) *Buffer {
-	b := &Buffer{w: src.w, h: src.h}
-	b.EnableTiles()
-	t := b.tiles
+	cols, rows := tilesFor(src.w), tilesFor(src.h)
+	n := cols * rows
+	t := &tileSet{
+		cols: cols, rows: rows, gen: 1, tgen: make([]uint64, n),
+		palN: make([]uint8, n), palTiles: n, slot: make([]int32, n),
+	}
+	for i := range t.tgen {
+		t.tgen[i] = 1
+	}
+	b := &Buffer{w: src.w, h: src.h, tiles: t}
+	// Slots are built in pooled full-size scratch and copied out once
+	// their count is known.
+	sc := snapScratch.Get().(*snapStore)
+	defer snapScratch.Put(sc)
+	if len(sc.pal) < n*PaletteCap {
+		sc.plane, sc.pal = make([]byte, n*planeTileBytes), make([]Color, n*PaletteCap)
+	}
 	rs := src.repr()
 	st := rs.tiles
-	for i := range t.palN {
-		r := b.TileRect(i)
-		p := snapPal{pal: t.tilePal(i)}
-		plane := t.tilePlane(i)
+	ns := 0 // slots built
+	var r Rect
+	for i := range n {
+		prev := r
+		r = b.TileRect(i)
+		same := i > 0 && r.Dx() == prev.Dx() && r.Dy() == prev.Dy()
+		if same && rs.storedAlike(i-1, i, prev, r) {
+			t.palN[i], t.slot[i] = t.palN[i-1], t.slot[i-1]
+			continue
+		}
+		plane := sc.plane[ns*planeTileBytes : (ns+1)*planeTileBytes]
+		pal := sc.pal[ns*PaletteCap : (ns+1)*PaletteCap]
+		clear(pal)
+		p := snapPal{pal: pal}
 		if st != nil && st.palN[i] > 0 {
 			// A source palette holds at most PaletteCap colors, so the
 			// remap cannot overflow.
 			rows := plane[:r.Dy()*TileSize/2]
 			copy(rows, st.tilePlane(i))
+			clear(plane[len(rows):])
 			ml, mh := nibSpan(0, r.Dx())
 			p.remapRows(rows, st.tilePal(i), ml, mh)
-		} else if !p.encodeRows(plane, rs.pix, rs.w, r) {
-			return nil
+		} else {
+			clear(plane) // encodeRows writes into a zeroed plane
+			if !p.encodeRows(plane, rs.pix, rs.w, r) {
+				return nil
+			}
 		}
 		t.palN[i] = uint8(p.n)
+		if same && t.palN[i] == t.palN[i-1] && slices.Equal(pal, sc.pal[(ns-1)*PaletteCap:ns*PaletteCap]) &&
+			bytes.Equal(plane, sc.plane[(ns-1)*planeTileBytes:ns*planeTileBytes]) {
+			t.slot[i] = int32(ns - 1)
+			continue
+		}
+		t.slot[i] = int32(ns)
+		ns++
 	}
-	t.palTiles = len(t.palN)
+	t.plane = slices.Clone(sc.plane[:ns*planeTileBytes])
+	t.pal = slices.Clone(sc.pal[:ns*PaletteCap])
 	return b
+}
+
+// snapStore is NewPaletteSnapshot's scratch: a plane and a palette slot
+// per tile of the largest screen snapshot so far.
+type snapStore struct {
+	plane []byte
+	pal   []Color
+}
+
+// snapScratch pools snapStores, one per concurrent NewPaletteSnapshot.
+var snapScratch = sync.Pool{New: func() any { return new(snapStore) }}
+
+// storedAlike reports whether tiles a and c (rects ra and rc, of one
+// size) of representation buffer b are stored alike: both compressed and
+// alike, or both raw with equal pixel rows. Their snapshot bytes are then
+// equal.
+func (b *Buffer) storedAlike(a, c int, ra, rc Rect) bool {
+	if t := b.tiles; t != nil && (t.palN[a] > 0 || t.palN[c] > 0) {
+		return t.alike(a, c)
+	}
+	for y := 0; y < ra.Dy(); y++ {
+		pa := b.pix[(ra.Y0+y)*b.w+ra.X0 : (ra.Y0+y)*b.w+ra.X1]
+		pc := b.pix[(rc.Y0+y)*b.w+rc.X0 : (rc.Y0+y)*b.w+rc.X1]
+		if firstDiff(pa, pc) >= 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // snapPal builds one tile palette in first-occurrence order — a snapshot

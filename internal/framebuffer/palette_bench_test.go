@@ -40,7 +40,7 @@ func BenchmarkPaletteBlit(b *testing.B) {
 					screens[i].ScrollVert(R(0, 48, 720, 1280), -24)
 					screens[i].Fill(R(0, 1256, 720, 1280), RGB(200, 90, 20))
 				}
-				screens[i].EncodeAll() // compress the list tiles feedPaint left raw
+				encodeAll(screens[i]) // compress the list tiles feedPaint left raw
 			}
 			dst := New(720, 1280)
 			if bc.palette {
@@ -77,7 +77,7 @@ var snapSink *Buffer
 // BenchmarkPaletteSnapshot measures the app state memo's store path: one
 // NewPaletteSnapshot of a 720×1280 feed screen. The raw row snapshots
 // scrolledFeed's screen, whose list tiles are raw, and the palette row the
-// same screen after EncodeAll, so every source tile is re-indexed instead
+// same screen after encodeAll, so every source tile is re-indexed instead
 // of encoded: the shape of a device's feed screen, whose tiles start
 // compressed and stay so as the list scrolls.
 func BenchmarkPaletteSnapshot(b *testing.B) {
@@ -88,7 +88,7 @@ func BenchmarkPaletteSnapshot(b *testing.B) {
 		b.Run(bc.name, func(b *testing.B) {
 			buf := scrolledFeed()
 			if bc.encode {
-				buf.EncodeAll()
+				encodeAll(buf)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()

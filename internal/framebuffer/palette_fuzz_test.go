@@ -8,13 +8,13 @@ import (
 // FuzzPaletteCompare differentially tests the palette-compressed tile
 // representation against a plain buffer: the same mutation stream —
 // fills from a narrow palette, wide-color fills that force promotion,
-// FillRects batches, single stores, scrolls, blits from raw and from
-// compressed sources at random and tile-aligned offsets — drives a
-// tracked buffer and a plain one in lockstep, and after every operation
-// the two must agree on every read path: At, Equal and grid sampling.
-// Snapshot/share
-// round-trips (EncodeAll, NewPaletteSnapshot, ShareFromDamage) are
-// interleaved as content-preserving no-ops. Any divergence means a
+// FillRects batches, full-width feed rows, single stores, scrolls, blits
+// from raw and from compressed sources at random and tile-aligned
+// offsets — drives a tracked buffer and a plain one in lockstep, and
+// after every operation the two must agree on every read path: At, Equal
+// and grid sampling. Snapshot/share round-trips (encodeAll,
+// NewPaletteSnapshot, ShareFromDamage) are interleaved as
+// content-preserving no-ops. Any divergence means a
 // nibble kernel, binned fill, plane copy, promotion edge or
 // copy-on-write path changed visible bytes.
 func FuzzPaletteCompare(f *testing.F) {
@@ -27,6 +27,9 @@ func FuzzPaletteCompare(f *testing.F) {
 	// Scrolls over recycled, batched, snapshot and promoted tiles, on an
 	// 8-px-wide screen, where a random rect spans a whole tile row often.
 	f.Add(int64(8), []byte{9, 9, 4, 4, 4, 4, 8, 4, 4, 4, 4, 0, 4, 4, 4, 7, 4, 4, 4, 2, 4, 4, 4, 6, 4, 4, 4}, uint8(0), uint8(111))
+	// Scrolls over full-width feed rows on a screen with a partial edge
+	// tile column.
+	f.Add(int64(9), []byte{10, 4, 4, 4, 10, 4, 4, 0, 4, 10, 4, 3, 4, 4, 10, 7, 4, 4}, uint8(96), uint8(119))
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8) {
 		w := int(w8%100) + 8 // 8..107: partial edge tiles in both axes
@@ -86,7 +89,7 @@ func FuzzPaletteCompare(f *testing.F) {
 		var batch []Rect
 		var batchColors []Color
 		for step, op := range ops {
-			switch op % 10 {
+			switch op % 11 {
 			case 0, 1: // narrow fill: the palettized fast path
 				r, c := randRect(), narrow[rng.Intn(len(narrow))]
 				if np, nr := pb.Fill(r, c), rb.Fill(r, c); np != nr {
@@ -129,7 +132,7 @@ func FuzzPaletteCompare(f *testing.F) {
 					t.Fatalf("step %d: Blit count palette=%d plain=%d", step, np, nr)
 				}
 			case 6: // re-encode is content-preserving
-				pb.EncodeAll()
+				encodeAll(pb)
 			case 7: // snapshot + share round-trip must reproduce the content
 				snap = NewPaletteSnapshot(pb)
 				if snap == nil {
@@ -147,11 +150,19 @@ func FuzzPaletteCompare(f *testing.F) {
 				if np, nr := pb.FillRects(batch, batchColors), rb.FillRects(batch, batchColors); np != nr {
 					t.Fatalf("step %d: FillRects count palette=%d plain=%d", step, np, nr)
 				}
-			default: // recycle both: must come back blank and in lockstep
+			case 9: // recycle both: must come back blank and in lockstep
 				if rng.Intn(2) == 0 {
 					pb.Recycle()
 					rb.Recycle()
 				}
+			default: // full-width feed rows: tiles stored like their left neighbours
+				y0 := rng.Intn(h)
+				if rng.Intn(2) == 0 {
+					y0 &^= tileMask
+				}
+				batch, batchColors = feedRows(w, h, y0, rng.Intn(len(narrow)), narrow[:], batch[:0], batchColors[:0])
+				pb.FillRects(batch, batchColors)
+				rb.FillRects(batch, batchColors)
 			}
 			check(step)
 		}

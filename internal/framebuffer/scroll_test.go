@@ -35,7 +35,8 @@ func stripeBatch(rng *rand.Rand, w, h, k int, rects []Rect, colors []Color) ([]R
 // clamped region, so about half the scrolls move rows. Before each scroll
 // the twins take one of: a narrow-color fill, a wide-color fill, a random
 // FillRects batch, a stripe batch whose adjacent tiles together hold ≤16
-// or >16 colors, a Recycle, or a ShareFrom view of a snapshot. Tiles are
+// or >16 colors, a Recycle, a ShareFrom view of a snapshot, or full-width
+// feed rows (feedRows) from a tile-aligned or misaligned row. Tiles are
 // thus compressed, raw and mixed, at 8..107 × 8..120 and at 720×1280.
 func TestPaletteScrollMatchesRaw(t *testing.T) {
 	seeds := 300
@@ -76,6 +77,13 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 				if snap := NewPaletteSnapshot(pb); snap != nil {
 					both(func(b *Buffer) { b.ShareFrom(snap) })
 				}
+			case 6:
+				y0 := rng.Intn(h)
+				if rng.Intn(2) == 0 {
+					y0 &^= tileMask
+				}
+				rects, colors = feedRows(w, h, y0, rng.Intn(len(narrow)), narrow, rects[:0], colors[:0])
+				both(func(b *Buffer) { b.FillRects(rects, colors) })
 			}
 			var r Rect
 			switch rng.Intn(3) {

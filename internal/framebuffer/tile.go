@@ -36,12 +36,16 @@ type tileSet struct {
 	tgen []uint64
 
 	// Palette compression state (see palette.go): while palN[i] > 0 tile
-	// i's content is defined by its slice of pal and plane and the pixel
+	// i's content is defined by its slot of pal and plane and the pixel
 	// array is stale under it.
 	palN     []uint8 // palette size per tile; 0 = raw
-	plane    []byte  // 4-bit index plane, planeTileBytes per tile
-	pal      []Color // PaletteCap entries per tile
+	plane    []byte  // 4-bit index plane, planeTileBytes per slot
+	pal      []Color // PaletteCap entries per slot
 	palTiles int     // tiles currently palettized
+	// slot maps each tile to its plane and palette slot in a snapshot
+	// (NewPaletteSnapshot), where a run of alike tiles shares one slot;
+	// nil everywhere else, where tile i's slot is i.
+	slot []int32
 	// promotions counts pal → raw realizations (palette overflow and
 	// raw-kernel writes over compressed tiles).
 	promotions uint64
@@ -167,9 +171,11 @@ func (b *Buffer) touchAll() {
 // own materializes a copy-on-write buffer before its first mutation: the
 // shared source's content is copied into the buffer's parked storage,
 // which becomes its private pixel array again (palette state transfers
-// wholesale when both sides hold palettes; a source the buffer cannot
-// represent is decoded). Reads never materialize.
+// tile by tile when both sides hold palettes; a source the buffer cannot
+// represent is decoded). Reads never materialize. Every mutator but
+// Recycle calls it first, so it also refuses writes to a snapshot.
 func (b *Buffer) own() {
+	b.writable()
 	if b.shared == nil {
 		return
 	}
@@ -178,6 +184,14 @@ func (b *Buffer) own() {
 	b.spare = nil
 	b.shared = nil
 	b.copyAllFrom(src)
+}
+
+// writable panics when b is a snapshot (NewPaletteSnapshot): its alike
+// tiles share storage, so a write through one would change them all.
+func (b *Buffer) writable() {
+	if b.tiles != nil && b.tiles.slot != nil {
+		panic("framebuffer: write to a palette snapshot")
+	}
 }
 
 // ShareFrom turns b into a zero-copy view of src's pixels: reads are
@@ -211,6 +225,7 @@ func (b *Buffer) ShareFromDamage(src *Buffer, rects []Rect) {
 // share turns b into a copy-on-write view of src for the named caller,
 // parking b's own storage unless it is already a view.
 func (b *Buffer) share(src *Buffer, op string) {
+	b.writable()
 	if b.w != src.w || b.h != src.h {
 		panic(fmt.Sprintf("framebuffer: %s size mismatch %dx%d vs %dx%d", op, b.w, b.h, src.w, src.h))
 	}
@@ -345,7 +360,7 @@ func (tl *TileLattice) DeltaCompare(buf *Buffer, committed []Color, sinceGen uin
 		case rt == nil || rt.palN[ti] == 0:
 			d = gatherDiff(run, rb.pix, tl.pix[s:e])
 		case rt.palN[ti] == 1:
-			d = solidDiff(run, rt.pal[ti*PaletteCap])
+			d = solidDiff(run, rt.tilePal(ti)[0])
 		default:
 			d = planeDiff(run, (*[planeTileBytes]byte)(rt.tilePlane(ti)), (*[PaletteCap]Color)(rt.tilePal(ti)), tl.nib[s:e])
 		}

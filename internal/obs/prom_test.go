@@ -312,32 +312,51 @@ func TestWritePrometheusNilRegistry(t *testing.T) {
 	}
 }
 
+// badPromDocs are exposition documents ParsePrometheus must reject.
+var badPromDocs = []struct {
+	name string
+	doc  string
+}{
+	{"bad metric name", "9bad 1\n"},
+	{"bad label name", `m{9l="x"} 1` + "\n"},
+	{"unterminated label", `m{l="x} 1` + "\n"},
+	{"bad escape", `m{l="\q"} 1` + "\n"},
+	{"bad value", "m one\n"},
+	{"duplicate series", "m{a=\"1\"} 1\nm{a=\"1\"} 2\n"},
+	{"unknown type", "# TYPE m widget\nm 1\n"},
+	{"type after samples", "m 1\n# TYPE m gauge\n"},
+	{"histogram no buckets", "# TYPE h histogram\nh_sum 1\nh_count 1\n"},
+	{"histogram no inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
+	{"histogram non-monotone", "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"},
+	{"histogram count mismatch", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n"},
+	{"histogram missing sum", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n"},
+	{"type without a type", "# TYPE m\nm 1\n"},
+}
+
 func TestParsePrometheusRejectsBadInput(t *testing.T) {
-	cases := []struct {
-		name string
-		doc  string
-	}{
-		{"bad metric name", "9bad 1\n"},
-		{"bad label name", `m{9l="x"} 1` + "\n"},
-		{"unterminated label", `m{l="x} 1` + "\n"},
-		{"bad escape", `m{l="\q"} 1` + "\n"},
-		{"bad value", "m one\n"},
-		{"duplicate series", "m{a=\"1\"} 1\nm{a=\"1\"} 2\n"},
-		{"unknown type", "# TYPE m widget\nm 1\n"},
-		{"type after samples", "m 1\n# TYPE m gauge\n"},
-		{"histogram no buckets", "# TYPE h histogram\nh_sum 1\nh_count 1\n"},
-		{"histogram no inf", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
-		{"histogram non-monotone", "# TYPE h histogram\nh_bucket{le=\"1\"} 3\nh_bucket{le=\"2\"} 2\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"},
-		{"histogram count mismatch", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n"},
-		{"histogram missing sum", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n"},
-	}
-	for _, tc := range cases {
+	for _, tc := range badPromDocs {
 		t.Run(tc.name, func(t *testing.T) {
 			if _, err := ParsePrometheus(strings.NewReader(tc.doc)); err == nil {
 				t.Errorf("accepted %q", tc.doc)
 			}
 		})
 	}
+}
+
+// FuzzParsePrometheus checks that no input panics the parser, which
+// ccdem-obscheck runs on a scraped /metrics document.
+func FuzzParsePrometheus(f *testing.F) {
+	var buf bytes.Buffer
+	if err := testRegistry().WritePrometheus(&buf); err != nil {
+		f.Fatalf("WritePrometheus: %v", err)
+	}
+	f.Add(buf.Bytes())
+	for _, tc := range badPromDocs {
+		f.Add([]byte(tc.doc))
+	}
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		_, _ = ParsePrometheus(bytes.NewReader(doc)) // an error is a valid outcome; a panic is not
+	})
 }
 
 func TestParsePrometheusAcceptsInfNaN(t *testing.T) {

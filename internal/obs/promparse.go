@@ -221,6 +221,9 @@ func ParsePrometheus(r io.Reader) (map[string]*PromFamily, error) {
 				}
 				continue
 			}
+			if len(fields) < 4 {
+				return fail("TYPE line for %s without a type", name)
+			}
 			typ := strings.TrimSpace(fields[3])
 			switch typ {
 			case "counter", "gauge", "histogram", "summary", "untyped":

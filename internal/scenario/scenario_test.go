@@ -10,7 +10,7 @@ import (
 	"ccdem/internal/sim"
 )
 
-func mustParams(t *testing.T, name string) app.Params {
+func mustParams(t testing.TB, name string) app.Params {
 	t.Helper()
 	p, ok := app.ByName(name)
 	if !ok {

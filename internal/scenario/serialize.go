@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 
 	"ccdem/internal/app"
 	"ccdem/internal/sim"
@@ -73,6 +74,9 @@ func ReadScenario(r io.Reader) (Scenario, error) {
 	}
 	sc := Scenario{Name: ws.Name}
 	for i, wp := range ws.Phases {
+		if lim := int64(math.MaxInt64 / sim.Millisecond); wp.DurationMS > lim || wp.DurationMS < -lim {
+			return Scenario{}, fmt.Errorf("scenario: phase %d: duration_ms %d out of range", i, wp.DurationMS)
+		}
 		ph := Phase{Duration: sim.Time(wp.DurationMS) * sim.Millisecond, Seed: wp.Seed}
 		switch {
 		case wp.App != "" && wp.Workload != nil:

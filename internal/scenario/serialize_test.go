@@ -69,6 +69,8 @@ func TestReadScenarioValidation(t *testing.T) {
 		"both":        `{"version":1,"name":"x","phases":[{"app":"Facebook","workload":{},"duration_ms":1000}]}`,
 		"zero dur":    `{"version":1,"name":"x","phases":[{"app":"Facebook","duration_ms":0}]}`,
 		"bad embed":   `{"version":1,"name":"x","phases":[{"workload":{"name":""},"duration_ms":1000}]}`,
+		"overflow":    `{"version":1,"name":"x","phases":[{"app":"Facebook","duration_ms":18446744073709552}]}`,
+		"underflow":   `{"version":1,"name":"x","phases":[{"app":"Facebook","duration_ms":-18446744073709552}]}`,
 	}
 	for name, in := range cases {
 		if _, err := ReadScenario(strings.NewReader(in)); err == nil {
@@ -77,12 +79,14 @@ func TestReadScenarioValidation(t *testing.T) {
 	}
 }
 
+// miniScenario is TestLoadedScenarioRuns' document.
+const miniScenario = `{"version":1,"name":"mini","phases":[
+	{"app":"Weather","duration_ms":3000,"seed":9},
+	{"app":"Tiny Flashlight","duration_ms":3000}
+]}`
+
 func TestLoadedScenarioRuns(t *testing.T) {
-	in := `{"version":1,"name":"mini","phases":[
-		{"app":"Weather","duration_ms":3000,"seed":9},
-		{"app":"Tiny Flashlight","duration_ms":3000}
-	]}`
-	sc, err := ReadScenario(strings.NewReader(in))
+	sc, err := ReadScenario(strings.NewReader(miniScenario))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,4 +97,45 @@ func TestLoadedScenarioRuns(t *testing.T) {
 	if len(res.Phases) != 2 || res.Total.Duration != 6*sim.Second {
 		t.Errorf("result = %+v", res)
 	}
+}
+
+// FuzzReadScenario checks that no document panics ReadScenario, which
+// ccdem-scenario -file runs on a user's file, and that a document it
+// accepts reads back equal after WriteJSON.
+func FuzzReadScenario(f *testing.F) {
+	for _, sc := range []Scenario{
+		{Name: "rt", Phases: []Phase{
+			{App: mustParams(f, "Facebook"), Duration: 10 * sim.Second, Seed: 3},
+			{App: mustParams(f, "Jelly Splash"), Duration: 20 * sim.Second},
+		}},
+		{Name: "custom", Phases: []Phase{{App: app.Params{
+			Name: "my-widget", Cat: app.General, Style: app.StylePulse,
+			IdleContentFPS: 1, IdleInvalidateFPS: 5,
+			TouchContentFPS: 10, TouchInvalidateFPS: 20,
+		}, Duration: 5 * sim.Second}}},
+	} {
+		var buf bytes.Buffer
+		if err := sc.WriteJSON(&buf); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Add([]byte(miniScenario))
+	f.Fuzz(func(t *testing.T, doc []byte) {
+		sc, err := ReadScenario(bytes.NewReader(doc))
+		if err != nil {
+			return
+		}
+		var buf bytes.Buffer
+		if err := sc.WriteJSON(&buf); err != nil {
+			t.Fatalf("WriteJSON of an accepted scenario: %v", err)
+		}
+		got, err := ReadScenario(&buf)
+		if err != nil {
+			t.Fatalf("reading back an accepted scenario: %v\n%s", err, buf.String())
+		}
+		if !reflect.DeepEqual(sc, got) {
+			t.Fatalf("round trip changed the scenario:\n%+v\n%+v", sc, got)
+		}
+	})
 }
