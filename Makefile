@@ -21,8 +21,9 @@ race:
 	$(GO) run ./cmd/ccdem-fleet -devices 12 -duration 5 -faults 1 -hardened -workers 4 > /dev/null
 
 # Short fuzz pass over every parser boundary (decoders must never panic
-# on hostile input; raise FUZZTIME for a real session) and the tile/naive
-# differential fuzzers (the optimized pixel pipeline must stay
+# on hostile input; raise FUZZTIME for a real session; FuzzRelayJSONLine
+# also holds the worker-log relay to one record with unique keys) and the
+# tile/naive differential fuzzers (the optimized pixel pipeline must stay
 # byte-identical to its brute-force oracle). The five op-stream
 # differential fuzzers and FuzzReadScenario bound minimization to 1s per
 # input: at the default 60s, minimizing each new corpus entry used up most
@@ -44,6 +45,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime $(FUZZTIME) ./internal/fleet
 	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime $(FUZZTIME) ./internal/svc
 	$(GO) test -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -fuzz FuzzRelayJSONLine -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -fuzz FuzzReadScenario -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario
 
 # Benchmark-regression gate over the pinned hot-path suite (see

@@ -1,8 +1,10 @@
 package framebuffer
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -208,9 +210,13 @@ func checkPalState(t *testing.T, step int, a *Buffer) {
 // and copy-on-write-shared buffers whose tiles already mix solid,
 // multi-color and promoted raw representations. A third of the seeds
 // draw banded batches (bandBatch) on buffers up to 247×359, whose
-// covered tiles FillRects copies from the tile it rebuilt before them;
-// fixed batches then draw a tile almost like the one rebuilt before it,
-// so a copy that the reuse rule must refuse shows.
+// covered tiles FillRects copies from the tile to their left or above;
+// fixed batches then draw a tile almost like the one rebuilt before it
+// or the one above (partly covered tiles in repeat rows, a partial last
+// tile row, rect sets that change between rows, rects reaching only one
+// of two rows, empty and inverted rects), so a copy that the copy rules
+// must refuse shows. Every batch must also store every tile as the batch
+// taken one tile row at a time does (fillByRows, checkSameRepr).
 func TestFillRectsMatchesFill(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -231,25 +237,31 @@ func TestFillRectsMatchesFill(t *testing.T) {
 			w, h = rng.Intn(200)+48, rng.Intn(200)+5*TileSize
 		}
 		f := newFillTwins(w, h)
+		rows := New(w, h) // takes each batch one tile row at a time
+		rows.EnableTiles()
+		all := []*Buffer{f.rects, f.fill, rows}
 		// Prime a mixed representation with single fills of both kinds.
 		for n := rng.Intn(8); n > 0; n-- {
 			rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
 			for k, r := range rects {
-				f.rects.Fill(r, colors[k])
-				f.fill.Fill(r, colors[k])
+				for _, buf := range all {
+					buf.Fill(r, colors[k])
+				}
 			}
 		}
 		switch rng.Intn(3) {
 		case 1:
-			f.rects.Recycle()
-			f.fill.Recycle()
+			for _, buf := range all {
+				buf.Recycle()
+			}
 		case 2:
 			src := New(w, h)
 			src.EnableTiles()
 			rects, colors = randFillBatch(rng, w, h, narrow, rects[:0], colors[:0])
 			src.FillRects(rects, colors)
-			f.rects.ShareFrom(src)
-			f.fill.ShareFrom(src)
+			for _, buf := range all {
+				buf.ShareFrom(src)
+			}
 		}
 		f.check(t, -1)
 		for step := 0; step < batches; step++ {
@@ -267,14 +279,18 @@ func TestFillRectsMatchesFill(t *testing.T) {
 			}
 			f.batch(t, step, rects, colors)
 			f.check(t, step)
+			fillByRows(rows, rects, colors)
+			checkSameRepr(t, step, f.rects, rows)
 		}
 	}
 	// Batches that draw a covered tile almost like the tile rebuilt just
-	// before it, on buffers whose tiles hold one color each, so a wrong
-	// copy shows.
+	// before it or the tile above, on buffers whose tiles hold one color
+	// each, so a wrong copy shows.
 	a, b, c, d := narrow[0], narrow[1], narrow[2], narrow[3]
 	vRects, vColors := bands(100, 130, 60, a, b)
 	fRects, fColors := bands(70, 100, 0, a, b)
+	lastRects, lastColors := bands(100, 247, 20, a, b)
+	last359Rects, last359Colors := bands(130, 359, 60, c, d)
 	for _, tc := range []struct {
 		name   string
 		w, h   int
@@ -297,29 +313,133 @@ func TestFillRectsMatchesFill(t *testing.T) {
 			[]Rect{R(0, 0, 10, 20), R(10, 0, 32, 20), R(32, 0, 42, 20), R(42, 0, 64, 20)}, []Color{a, b, a, b}},
 		{"vertical bands at partial edges", 100, 130, vRects, vColors},
 		{"feed rows at partial edges", 70, 100, fRects, fColors},
+		{"partly covered tiles in repeat rows", 96, 128,
+			[]Rect{R(0, 0, 10, 128), R(10, 0, 40, 128), R(45, 0, 70, 128), R(75, 0, 96, 128)}, []Color{a, b, c, d}},
+		{"bands over a partial last tile row, 247 px", 100, 247, lastRects, lastColors},
+		{"bands over a partial last tile row, 359 px", 130, 359, last359Rects, last359Colors},
+		{"rect set changes between rows", 64, 128,
+			[]Rect{R(0, 0, 10, 128), R(10, 0, 64, 64), R(10, 64, 64, 128)}, []Color{a, b, c}},
+		{"rect spans only the row above", 64, 96,
+			[]Rect{R(0, 0, 64, 96), R(0, 0, 10, 32), R(20, 0, 30, 32)}, []Color{a, b, c}},
+		{"rect spans only the row below", 64, 96,
+			[]Rect{R(0, 0, 64, 96), R(0, 32, 10, 64), R(20, 32, 30, 64)}, []Color{a, b, c}},
+		{"band starts inside the row above", 64, 128,
+			[]Rect{R(0, 0, 10, 128), R(10, 5, 64, 128), R(10, 0, 64, 5)}, []Color{a, b, c}},
+		{"empty and inverted rects among bands", 64, 128,
+			[]Rect{R(0, 0, 10, 128), R(5, 5, 5, 90), R(10, 0, 64, 128), R(60, 100, 10, 20), R(0, 200, 64, 300)},
+			[]Color{a, b, c, d, a}},
 	} {
 		for pass := 0; pass < 3; pass++ {
 			f := newFillTwins(tc.w, tc.h)
-			for i := 0; i < f.fill.Tiles(); i++ {
-				tileColor := RGB(uint8(i*53), uint8(i*101), uint8(i*7+pass))
-				f.rects.Fill(f.rects.TileRect(i), tileColor)
-				f.fill.Fill(f.fill.TileRect(i), tileColor)
-				if pass == 1 { // a two-color tile
-					f.rects.Fill(R(0, 0, 3, 3).Intersect(f.rects.TileRect(i)), tileColor+1)
-					f.fill.Fill(R(0, 0, 3, 3).Intersect(f.fill.TileRect(i)), tileColor+1)
+			rows := New(tc.w, tc.h) // takes the batch one tile row at a time
+			rows.EnableTiles()
+			for _, buf := range []*Buffer{f.rects, f.fill, rows} {
+				for i := 0; i < buf.Tiles(); i++ {
+					tileColor := RGB(uint8(i*53), uint8(i*101), uint8(i*7+pass))
+					buf.Fill(buf.TileRect(i), tileColor)
+					if pass == 1 { // a two-color tile
+						buf.Fill(R(0, 0, 3, 3).Intersect(buf.TileRect(i)), tileColor+1)
+					}
 				}
-			}
-			if pass == 2 { // raw tiles
-				f.rects.DisableTiles()
-				f.rects.EnableTiles()
-				f.fill.DisableTiles()
-				f.fill.EnableTiles()
+				if pass == 2 { // raw tiles
+					buf.DisableTiles()
+					buf.EnableTiles()
+				}
 			}
 			t.Run(fmt.Sprintf("%s/%d", tc.name, pass), func(t *testing.T) {
 				f.batch(t, 0, tc.rects, tc.colors)
 				f.check(t, 0)
+				fillByRows(rows, tc.rects, tc.colors)
+				checkSameRepr(t, 0, f.rects, rows)
 			})
 		}
+	}
+}
+
+// fillByRows applies a FillRects batch to b one tile row at a time, each
+// rect clipped to the row, so no row of a batch repeats the row above
+// and every tile is resolved as in an ordinary row. Each tile takes the
+// same draw as under the whole batch, so it must end up represented the
+// same; only generations differ.
+func fillByRows(b *Buffer, rects []Rect, colors []Color) {
+	var rr []Rect
+	var cc []Color
+	for y := 0; y < b.h; y += TileSize {
+		rr, cc = rr[:0], cc[:0]
+		for k, r := range rects {
+			if c := r.Intersect(R(0, y, b.w, y+TileSize)); !c.Empty() {
+				rr, cc = append(rr, c), append(cc, colors[k])
+			}
+		}
+		if len(rr) > 0 {
+			b.FillRects(rr, cc)
+		}
+	}
+}
+
+// checkSameRepr checks that tracked buffers a and b represent every tile
+// alike, where checkSame compares only content: the same palette size,
+// palette entries in use and index plane for a compressed tile, the same
+// palTiles and the same promotion count. A tile copied instead of built
+// must be stored exactly as the build would store it.
+func checkSameRepr(t *testing.T, step int, a, b *Buffer) {
+	t.Helper()
+	ta, tb := a.repr().tiles, b.repr().tiles
+	for i, n := range ta.palN {
+		if n != tb.palN[i] {
+			t.Fatalf("step %d: tile %d palN = %d, twin %d", step, i, n, tb.palN[i])
+		}
+		if n > 0 && (!slices.Equal(ta.tilePal(i)[:n], tb.tilePal(i)[:n]) || !bytes.Equal(ta.tilePlane(i), tb.tilePlane(i))) {
+			t.Fatalf("step %d: tile %d (%v) is stored unlike its twin's", step, i, a.TileRect(i))
+		}
+	}
+	if ta.palTiles != tb.palTiles || ta.promotions != tb.promotions {
+		t.Fatalf("step %d: palTiles %d, promotions %d; twin %d, %d", step, ta.palTiles, ta.promotions, tb.palTiles, tb.promotions)
+	}
+}
+
+// TestFillRectsCopies pins the work the copy rules save, which output
+// comparisons cannot see: a 720×1280 video batch rebuilds only its first
+// tile row and copies the 19 below it from the row above, and full-width
+// feed rows copy every tile of a tile row but the first and the 16-px
+// right edge tile from its left neighbour. Each batch must leave every
+// tile stored exactly as the same batch taken one tile row at a time,
+// and match its Fill sequence.
+func TestFillRectsCopies(t *testing.T) {
+	narrow := []Color{RGB(10, 10, 10), RGB(200, 30, 30), RGB(30, 200, 30), RGB(30, 30, 200), RGB(240, 240, 240)}
+	video := videoBands()
+	videoColors := make([]Color, len(video))
+	for k := range videoColors {
+		videoColors[k] = narrow[k%len(narrow)]
+	}
+	feed, feedColors := feedRows(720, 1280, 0, 0, narrow, nil, nil)
+	for _, tc := range []struct {
+		name   string
+		rects  []Rect
+		colors []Color
+		copies uint64
+	}{
+		{"video", video, videoColors, 19 * 23},
+		{"feed rows", feed, feedColors, 40 * 21},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFillTwins(720, 1280)
+			rows := New(720, 1280)
+			rows.EnableTiles()
+			for _, buf := range []*Buffer{f.rects, f.fill, rows} {
+				buf.Recycle()
+			}
+			for frame := 0; frame < 2; frame++ {
+				before := f.rects.tiles.copies
+				f.batch(t, frame, tc.rects, tc.colors)
+				if n := f.rects.tiles.copies - before; n != tc.copies {
+					t.Errorf("frame %d: %d tiles copied, want %d", frame, n, tc.copies)
+				}
+				f.check(t, frame)
+				fillByRows(rows, tc.rects, tc.colors)
+				checkSameRepr(t, frame, f.rects, rows)
+			}
+		})
 	}
 }
 

@@ -342,83 +342,99 @@ func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
 	b.fillRows(clip, c)
 }
 
-// fillBinned is FillRects' kernel for tracked buffers. It bins
-// the clamped rects by tile in call order, marks each rect's tiles at its
-// own generation exactly as its Fill would, and then resolves every
-// touched tile once: a tile one rect reaches takes fillTile; a tile its
-// rects cover completely in at most PaletteCap colors is rebuilt by
-// fillCovered, or copied from the last tile fillCovered rebuilt when its
-// rects draw alike (sameDraw); any other tile replays its rects in order
-// through fillTile. At least one rect must be non-empty once clamped,
-// and b must be materialized. The bins live on the tile set and are
-// reused, so a steady stream of batches does not allocate.
+// fillBinned is FillRects' kernel for tracked buffers. It marks each
+// clamped rect's tiles at its own generation, in call order, exactly as
+// its Fill would, and then resolves every touched tile once, tile row by
+// tile row, from the rects that reach it in call order. In an ordinary
+// row a tile one rect reaches takes fillTile; a tile its rects cover
+// completely in at most PaletteCap colors is rebuilt by fillCovered, or
+// copied from the last tile fillCovered rebuilt in the row when its rects
+// draw alike (sameDraw); any other tile replays its rects through
+// fillTile. A row repeats the row above when both are full height and
+// every rect reaching either spans both: each of its tiles is then drawn
+// exactly like the tile above, so a tile whose tile above was resolved
+// as fully covered takes a copy of it, and the rest replay. At least one
+// rect must be non-empty once clamped, and b must be materialized. The
+// scratch lives on the tile set and is reused, so a steady stream of
+// batches does not allocate.
 func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 	t := b.tiles
-	if t.binN == nil {
-		t.binN = make([]int32, t.cols*t.rows)
-	}
 	bounds := b.Bounds()
-	// Pass 1 sizes each tile's bin and lists the tiles in first-touch
-	// order; pass 2 lays the bins out back to back and fills them.
-	bins := t.bins[:0]
+	ty0, ty1 := t.rows, 0
 	for _, r := range rects {
 		r = r.Clamp(bounds)
 		if r.Empty() {
 			continue
 		}
-		for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
-			for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
-				i := ty*t.cols + tx
-				if t.binN[i] == 0 {
-					bins = append(bins, tileBin{tx: int32(tx), ty: int32(ty)})
-				}
-				t.binN[i]++
-			}
-		}
-	}
-	off := int32(0)
-	for j, bn := range bins {
-		i := int(bn.ty)*t.cols + int(bn.tx)
-		bins[j].off = off
-		off, t.binN[i] = off+t.binN[i], off // binN becomes the fill cursor
-	}
-	binK := append(t.binK[:0], make([]int32, off)...)
-	for k, r := range rects {
-		r = r.Clamp(bounds)
-		if r.Empty() {
-			continue
-		}
 		b.touch(r)
-		for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
-			for i := ty*t.cols + r.X0>>TileShift; i <= ty*t.cols+(r.X1-1)>>TileShift; i++ {
-				binK[t.binN[i]] = int32(k)
-				t.binN[i]++
+		ty0, ty1 = min(ty0, r.Y0>>TileShift), max(ty1, (r.Y1-1)>>TileShift)
+	}
+	if t.covered == nil {
+		t.covered = make([]bool, t.cols)
+	}
+	ks, lastKs := t.tileK[0], t.tileK[1]
+	for ty := ty0; ty <= ty1; ty++ {
+		y0, y1 := ty<<TileShift, min((ty+1)<<TileShift, b.h)
+		// The rects reaching the row, the tile columns they span, and
+		// whether the row repeats the row above.
+		row, tx0, tx1 := t.rowK[:0], t.cols, -1
+		repeat := y1-y0 == TileSize
+		for k, r := range rects {
+			r = r.Clamp(bounds)
+			if r.Empty() || r.Y0 >= y1 || r.Y1 <= y0-TileSize {
+				continue
+			}
+			if r.Y0 > y0-TileSize || r.Y1 < y1 {
+				repeat = false
+			}
+			if r.Y1 > y0 {
+				row = append(row, int32(k))
+				tx0, tx1 = min(tx0, r.X0>>TileShift), max(tx1, (r.X1-1)>>TileShift)
 			}
 		}
-	}
-	// The last tile fillCovered rebuilt: a later tile its rects draw
-	// alike takes a copy of it (see sameDraw).
-	last, lastTr, lastKs := -1, Rect{}, []int32(nil)
-	for _, bn := range bins {
-		i := int(bn.ty)*t.cols + int(bn.tx)
-		ks := binK[bn.off:t.binN[i]]
-		t.binN[i] = 0
-		tr := Rect{int(bn.tx) << TileShift, int(bn.ty) << TileShift, int(bn.tx+1) << TileShift, int(bn.ty+1) << TileShift}.
-			Clamp(bounds)
-		switch {
-		case len(ks) == 1:
-			b.fillTile(i, tr, rects[ks[0]].Intersect(tr), colors[ks[0]])
-		case last >= 0 && sameDraw(rects, colors, ks, tr, lastKs, lastTr):
-			t.copyPal(i, t, last)
-		case b.fillCovered(i, tr, rects, colors, ks):
-			last, lastTr, lastKs = i, tr, ks
-		default:
-			for _, k := range ks {
-				b.fillTile(i, tr, rects[k].Intersect(tr), colors[k])
+		t.rowK = row
+		last, lastTr := -1, Rect{} // the last tile fillCovered rebuilt in the row
+		for tx := tx0; tx <= tx1; tx++ {
+			i := ty*t.cols + tx
+			tr := Rect{tx << TileShift, y0, min((tx+1)<<TileShift, b.w), y1}
+			if repeat && t.covered[tx] {
+				if up := i - t.cols; t.palN[up] == 1 {
+					b.fillTile(i, tr, tr, t.tilePal(up)[0])
+				} else {
+					t.copyPal(i, t, up)
+				}
+				t.copies++
+				continue
 			}
+			ks = ks[:0]
+			for _, k := range row {
+				if r := rects[k]; r.X0 < tr.X1 && tr.X0 < r.X1 {
+					ks = append(ks, k)
+				}
+			}
+			covered := false
+			switch {
+			case len(ks) == 1:
+				clip := rects[ks[0]].Intersect(tr)
+				b.fillTile(i, tr, clip, colors[ks[0]])
+				covered = clip == tr
+			case !repeat && last >= 0 && sameDraw(rects, colors, ks, tr, lastKs, lastTr):
+				t.copyPal(i, t, last)
+				t.copies++
+				covered = true
+			case !repeat && b.fillCovered(i, tr, rects, colors, ks):
+				last, lastTr = i, tr
+				ks, lastKs = lastKs, ks
+				covered = true
+			default:
+				for _, k := range ks {
+					b.fillTile(i, tr, rects[k].Intersect(tr), colors[k])
+				}
+			}
+			t.covered[tx] = covered
 		}
 	}
-	t.bins, t.binK = bins, binK
+	t.tileK = [2][]int32{ks, lastKs}
 }
 
 // sameDraw reports whether rects ks draw over tile tr exactly what rects
@@ -426,9 +442,9 @@ func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 // clips, in the same order, on tiles of the same size. fillCovered's
 // output depends on nothing else but the tile's nibbles past a partial
 // edge, which are zero in every plane, so a tile drawn alike to one it
-// rebuilt is that tile's copy. Bins run in first-touch order, so the
-// last rebuilt tile is the one above in a vertical band and the one to
-// the left in a full-width row.
+// rebuilt is that tile's copy. Tiles of a row run left to right, so the
+// last rebuilt tile is the one to the left in a full-width row; the
+// tiles of a vertical band repeat the row above instead (fillBinned).
 func sameDraw(rects []Rect, colors []Color, ks []int32, tr Rect, lastKs []int32, lastTr Rect) bool {
 	if len(ks) != len(lastKs) || tr.Dx() != lastTr.Dx() || tr.Dy() != lastTr.Dy() {
 		return false
@@ -455,10 +471,6 @@ func (t *tileSet) copyPal(i int, st *tileSet, si int) {
 	copy(t.tilePlane(i), st.tilePlane(si))
 	copy(t.tilePal(i), st.tilePal(si)[:n])
 }
-
-// tileBin is one touched tile of a FillRects batch and the offset of its
-// run of rect indices in tileSet.binK.
-type tileBin struct{ tx, ty, off int32 }
 
 // fillCovered resolves tile i (rect tr) under the rects ks of a batch,
 // in call order, when together they cover every pixel of the tile in at
@@ -603,7 +615,10 @@ func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
 // rebuilt by scrollTile, and a tile it cannot rebuild is realized and
 // takes raw rows. Tile rows run in read-before-write order — bottom-up
 // when content moves down — so each tile is read as a source before it is
-// rewritten. b must be materialized.
+// rewritten. Within a row, a tile whose inputs are stored like its left
+// neighbour's (scrollAlike, checked before the neighbour is rewritten)
+// takes a copy of the neighbour's result when scrollTile rebuilt or
+// copied it. b must be materialized.
 func (b *Buffer) scrollPal(moved Rect, dy int) {
 	t := b.tiles
 	ty, last, step := moved.Y0>>TileShift, (moved.Y1-1)>>TileShift, 1
@@ -611,22 +626,48 @@ func (b *Buffer) scrollPal(moved Rect, dy int) {
 		ty, last, step = last, ty, -1
 	}
 	for ; ; ty += step {
+		// alike: this tile's inputs are stored like its left neighbour's;
+		// built: the neighbour is now in the palette domain.
+		alike, built := false, false
 		for tx := moved.X0 >> TileShift; tx <= (moved.X1-1)>>TileShift; tx++ {
 			i := ty*t.cols + tx
 			tr := b.TileRect(i)
 			mv := tr.Intersect(moved)
-			if b.scrollTile(i, tr, mv, dy) {
-				continue
+			copyLeft := alike && built
+			alike = b.scrollAlike(i, tr, mv, moved.X1, dy)
+			switch {
+			case copyLeft:
+				t.copyPal(i, t, i-1)
+				t.copies++
+			case b.scrollTile(i, tr, mv, dy):
+				built = true
+			default:
+				built = false
+				if t.palN[i] > 0 {
+					b.realizeTile(i)
+				}
+				b.moveRows(mv, dy)
 			}
-			if t.palN[i] > 0 {
-				b.realizeTile(i)
-			}
-			b.moveRows(mv, dy)
 		}
 		if ty == last {
 			return
 		}
 	}
+}
+
+// scrollAlike reports, before tile i (rect tr, moved rows mv) is
+// rewritten, whether the tile to its right takes scrollTile's inputs
+// stored like tile i's: the move spans it and it is a full tile like
+// tile i, its source tiles top and bot are stored alike to tile i's, and
+// so is the tile itself unless the move covers both tiles' rows whole.
+// scrollTile's output is a function of those inputs, representation
+// included, so that tile may take a copy of tile i's result.
+func (b *Buffer) scrollAlike(i int, tr, mv Rect, movedX1, dy int) bool {
+	t := b.tiles
+	top := ((mv.Y0-dy)>>TileShift)*t.cols + tr.X0>>TileShift
+	bot := ((mv.Y1-1-dy)>>TileShift)*t.cols + tr.X0>>TileShift
+	return movedX1 >= tr.X0+2*TileSize && t.alike(top, top+1) && (bot == top || t.alike(bot, bot+1)) &&
+		(mv.Dy() == tr.Dy() || t.alike(i, i+1))
 }
 
 // scrollTile rebuilds tile i (rect tr) after the rows of mv take the

@@ -105,7 +105,9 @@ func BenchmarkPaletteSnapshot(b *testing.B) {
 // FillRects batch. Both rows warm up through every color set first, so
 // the fill row runs in its steady state: the 200 band-edge tiles have
 // overflowed their palettes and are filled raw, row by row. The rects
-// row rebuilds each band-edge tile once per frame as a two-color palette.
+// row rebuilds the first tile row of the video, each band-edge tile as a
+// two-color palette, and copies every tile of the 19 tile rows below
+// from the tile above (fillBinned's repeat rows).
 func BenchmarkPaletteFill(b *testing.B) {
 	rects := videoBands()
 	var sets [64][]Color
@@ -163,8 +165,11 @@ func feedStep(buf *Buffer, step int, rects []Rect, colors []Color) {
 // BenchmarkPaletteScroll measures one feed step (feedStep) on a
 // 720×1280 tracked screen whose list tiles start compressed, as a
 // device's recycled framebuffer does, and on its plain twin. The
-// palette row rebuilds each list tile from index-plane rows into a
-// pruned palette; the raw row moves 3.5 MB of pixels.
+// palette row rebuilds the first and the 16-px right edge tile of each
+// list tile row from index-plane rows into a pruned palette and copies
+// the 21 tiles between from their left neighbour (scrollPal); the raw
+// row moves 3.5 MB of pixels. The palette row is the faster of the two:
+// about 122 µs against 177 µs in interleaved rounds on a 2-vCPU guest.
 func BenchmarkPaletteScroll(b *testing.B) {
 	for _, bc := range []struct {
 		name    string

@@ -8,15 +8,15 @@ import (
 // FuzzPaletteCompare differentially tests the palette-compressed tile
 // representation against a plain buffer: the same mutation stream —
 // fills from a narrow palette, wide-color fills that force promotion,
-// FillRects batches, full-width feed rows, single stores, scrolls, blits
-// from raw and from compressed sources at random and tile-aligned
-// offsets — drives a tracked buffer and a plain one in lockstep, and
-// after every operation the two must agree on every read path: At, Equal
-// and grid sampling. Snapshot/share round-trips (encodeAll,
-// NewPaletteSnapshot, ShareFromDamage) are interleaved as
-// content-preserving no-ops. Any divergence means a
-// nibble kernel, binned fill, plane copy, promotion edge or
-// copy-on-write path changed visible bytes.
+// FillRects batches, full-width feed rows and vertical bands, single
+// stores, scrolls, blits from raw and from compressed sources at random
+// and tile-aligned offsets — drives a tracked buffer and a plain one in
+// lockstep, and after every operation the two must agree on every read
+// path: At, Equal and grid sampling. Snapshot/share round-trips
+// (encodeAll, NewPaletteSnapshot, ShareFromDamage) are interleaved as
+// content-preserving no-ops. Any divergence means a nibble kernel,
+// binned fill, tile copy, plane copy, promotion edge or copy-on-write
+// path changed visible bytes.
 func FuzzPaletteCompare(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 2, 3, 9}, uint8(64), uint8(64))
 	f.Add(int64(2), []byte{2, 2, 2, 2, 2, 2, 9, 6}, uint8(33), uint8(47)) // wide fills: promotion pressure
@@ -30,6 +30,11 @@ func FuzzPaletteCompare(f *testing.F) {
 	// Scrolls over full-width feed rows on a screen with a partial edge
 	// tile column.
 	f.Add(int64(9), []byte{10, 4, 4, 4, 10, 4, 4, 0, 4, 10, 4, 3, 4, 4, 10, 7, 4, 4}, uint8(96), uint8(119))
+	// Feed rows and vertical bands, whose tiles FillRects copies from the
+	// tile to their left or above, then scrolls that copy tiles from
+	// their left neighbours, over single stores and wide fills that break
+	// the runs.
+	f.Add(int64(10), []byte{10, 10, 4, 10, 4, 3, 10, 4, 4, 2, 10, 4, 10, 10, 4, 4, 8, 10, 4}, uint8(92), uint8(119))
 
 	f.Fuzz(func(t *testing.T, seed int64, ops []byte, w8, h8 uint8) {
 		w := int(w8%100) + 8 // 8..107: partial edge tiles in both axes
@@ -155,12 +160,20 @@ func FuzzPaletteCompare(f *testing.F) {
 					pb.Recycle()
 					rb.Recycle()
 				}
-			default: // full-width feed rows: tiles stored like their left neighbours
+			default: // full-width feed rows or vertical bands: tiles drawn like their neighbours
 				y0 := rng.Intn(h)
 				if rng.Intn(2) == 0 {
 					y0 &^= tileMask
 				}
-				batch, batchColors = feedRows(w, h, y0, rng.Intn(len(narrow)), narrow[:], batch[:0], batchColors[:0])
+				if rng.Intn(2) == 0 {
+					batch, batchColors = feedRows(w, h, y0, rng.Intn(len(narrow)), narrow[:], batch[:0], batchColors[:0])
+				} else {
+					batch, batchColors = batch[:0], batchColors[:0]
+					for x, bw := rng.Intn(TileSize), rng.Intn(40)+2; x < w; x += bw {
+						batch = append(batch, R(x, y0, x+bw, h))
+						batchColors = append(batchColors, narrow[rng.Intn(len(narrow))])
+					}
+				}
 				pb.FillRects(batch, batchColors)
 				rb.FillRects(batch, batchColors)
 			}

@@ -28,8 +28,11 @@ func stripeBatch(rng *rand.Rand, w, h, k int, rects []Rect, colors []Color) ([]R
 // raw row move: a tracked buffer and its plain twin take the same stream
 // of scrolls, and after each one they must agree on the repaint rect and
 // every pixel; the tracked buffer must mark exactly the tiles the moved
-// rows overlap (checkScrollGens) and keep its bookkeeping invariants
-// (checkPalState). Regions are the feed
+// rows overlap (checkScrollGens), keep its bookkeeping invariants
+// (checkPalState), and store every tile as a tracked twin that scrolls
+// one tile column at a time does (scrollByColumns, checkSameRepr), so a
+// tile copied from its left neighbour is stored as its rebuild would
+// be. Regions are the feed
 // region under a header, the whole screen, and rects with tile-misaligned
 // X edges that may hang off screen; dy ranges over ±[1, 2·Dy] of the
 // clamped region, so about half the scrolls move rows. Before each scroll
@@ -55,8 +58,10 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 		}
 		pb := New(w, h)
 		pb.EnableTiles()
+		cb := New(w, h)
+		cb.EnableTiles()
 		rb := New(w, h)
-		both := func(f func(b *Buffer)) { f(pb); f(rb) }
+		both := func(f func(b *Buffer)) { f(pb); f(cb); f(rb) }
 		for step := 0; step < steps; step++ {
 			switch rng.Intn(8) {
 			case 0:
@@ -103,10 +108,109 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 			if got, want := pb.ScrollVert(r, dy), rb.ScrollVert(r, dy); got != want {
 				t.Fatalf("seed %d step %d: ScrollVert(%v, %d) repaint = %v, plain twin %v", seed, step, r, dy, got, want)
 			}
+			scrollByColumns(cb, r, dy)
 			checkSame(t, step, pb, rb)
 			checkScrollGens(t, step, pb, r, dy, gen, gens)
 			checkPalState(t, step, pb)
+			checkSameRepr(t, step, pb, cb)
 		}
+	}
+}
+
+// scrollByColumns applies ScrollVert(r, dy) to b one tile column at a
+// time. A tile then has no left neighbour to copy, so every tile is
+// rebuilt or falls back, and must end up stored as under the whole
+// scroll; only generations differ.
+func scrollByColumns(b *Buffer, r Rect, dy int) {
+	r = r.Clamp(b.Bounds())
+	if r.Empty() {
+		return
+	}
+	for x := r.X0 &^ tileMask; x < r.X1; x += TileSize {
+		b.ScrollVert(r.Intersect(R(x, r.Y0, x+TileSize, r.Y1)), dy)
+	}
+}
+
+// TestPaletteScrollCopies pins the work ScrollVert's copy rule saves,
+// which output comparisons cannot see, and checks the cases that must
+// break a run of copies. On a 720×1280 feed screen whose list tiles are
+// compressed, a feed step rebuilds the first tile and the 16-px right
+// edge tile of each tile row the move overlaps and copies the 21
+// between, whichever way content moves, also in the partial top and
+// bottom rows, where the tiles' own rows are compared too. Then: moves
+// of 32 px and more, a raw source tile and a palette overflow in the
+// middle of a row (the tile after must be rebuilt, not copied from a
+// tile that fell back), and region edges inside a tile. After each
+// scroll the buffer must match its plain twin, mark the right tiles,
+// keep its invariants and store every tile as a twin that scrolls one
+// tile column at a time.
+func TestPaletteScrollCopies(t *testing.T) {
+	feed := R(0, 48, 720, 1280)
+	rowsOf := func(moved Rect) uint64 { return uint64((moved.Y1-1)>>TileShift - moved.Y0>>TileShift + 1) }
+	for _, tc := range []struct {
+		name   string
+		prep   func(b *Buffer)
+		r      Rect
+		dy     int
+		copies uint64 // checked when non-zero
+	}{
+		{"feed step up", nil, feed, -24, 21 * rowsOf(R(0, 48, 720, 1256))},
+		{"feed step down", nil, feed, 24, 21 * rowsOf(R(0, 72, 720, 1280))},
+		{"40 px up", nil, feed, -40, 21 * rowsOf(R(0, 48, 720, 1240))},
+		{"64 px down", nil, feed, 64, 21 * rowsOf(R(0, 112, 720, 1280))},
+		{"100 px up, whole screen", nil, R(0, 0, 720, 1280), -100, 21 * rowsOf(R(0, 0, 720, 1180))},
+		{"raw source tile", func(b *Buffer) {
+			for k := 0; k <= PaletteCap; k++ { // overflow one list tile's palette
+				b.Set(7*TileSize+k, 20*TileSize+k, RGB(uint8(k*15), 1, 2))
+			}
+		}, feed, -24, 0},
+		{"palette overflow", func(b *Buffer) {
+			// 1-px rows of 9 colors per tile row over tiles 5..9: a rebuilt
+			// tile there shows up to 18 colors and falls back.
+			var rects []Rect
+			var colors []Color
+			for y := 600; y < 700; y++ {
+				rects = append(rects, R(5*TileSize, y, 10*TileSize, y+1))
+				colors = append(colors, RGB(uint8(y%9*20), uint8(y>>TileShift), 3))
+			}
+			b.FillRects(rects, colors)
+		}, feed, -24, 0},
+		{"region edges inside tiles", nil, R(40, 48, 700, 1280), -24, 0},
+		{"region edges inside tiles, down", nil, R(40, 60, 690, 1200), 40, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pb := New(720, 1280)
+			pb.EnableTiles()
+			cb := New(720, 1280)
+			cb.EnableTiles()
+			rb := New(720, 1280)
+			var rects []Rect
+			var colors []Color
+			for _, b := range []*Buffer{pb, cb, rb} {
+				b.Recycle()
+				feedPaint(b)
+				for step := 0; step < 3; step++ {
+					feedStep(b, step, rects, colors)
+				}
+				if tc.prep != nil {
+					tc.prep(b)
+				}
+			}
+			checkSameRepr(t, -1, pb, cb)
+			gen, gens := pb.Gen(), append([]uint64(nil), pb.tiles.tgen...)
+			before := pb.tiles.copies
+			if got, want := pb.ScrollVert(tc.r, tc.dy), rb.ScrollVert(tc.r, tc.dy); got != want {
+				t.Fatalf("ScrollVert(%v, %d) repaint = %v, plain twin %v", tc.r, tc.dy, got, want)
+			}
+			scrollByColumns(cb, tc.r, tc.dy)
+			if n := pb.tiles.copies - before; tc.copies != 0 && n != tc.copies {
+				t.Errorf("%d tiles copied, want %d", n, tc.copies)
+			}
+			checkSame(t, 0, pb, rb)
+			checkScrollGens(t, 0, pb, tc.r, tc.dy, gen, gens)
+			checkPalState(t, 0, pb)
+			checkSameRepr(t, 0, pb, cb)
+		})
 	}
 }
 

@@ -49,12 +49,16 @@ type tileSet struct {
 	// promotions counts pal → raw realizations (palette overflow and
 	// raw-kernel writes over compressed tiles).
 	promotions uint64
-	// FillRects bins (see fillBinned), reused across batches: each tile's
-	// bin size, zero between batches; the touched tiles in first-touch
-	// order; and their runs of rect indices, back to back.
-	binN []int32
-	bins []tileBin
-	binK []int32
+	// copies counts tiles FillRects and ScrollVert resolved as a copy of
+	// another tile's result instead of building them.
+	copies uint64
+	// FillRects scratch (see fillBinned), reused across batches: the
+	// rects reaching the tile row being resolved; the rects reaching the
+	// tile being resolved and the last tile fillCovered rebuilt; and per
+	// tile column whether the row's tile was resolved as fully covered.
+	rowK    []int32
+	tileK   [2][]int32
+	covered []bool
 }
 
 // EnableTiles turns on tile tracking and palette compression for b. It is

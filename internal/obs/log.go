@@ -46,7 +46,9 @@ func NopLogger() *slog.Logger {
 // output of a slog JSONHandler) and re-logs it through logger with extra
 // attrs appended — the daemon's job/shard correlation. The worker's own
 // attrs are preserved (sorted by key, so relayed records are
-// deterministic); its timestamp is dropped in favor of the relay time.
+// deterministic), except that an extra attr replaces the worker's attr
+// of the same key, so no key is logged twice; numbers keep their exact
+// digits. The worker's timestamp is dropped in favor of the relay time.
 // Returns false when the line is not a JSON log record, leaving the
 // caller to treat it as plain diagnostic output.
 func RelayJSONLine(logger *slog.Logger, line string, extra ...slog.Attr) bool {
@@ -55,7 +57,12 @@ func RelayJSONLine(logger *slog.Logger, line string, extra ...slog.Attr) bool {
 		return false
 	}
 	var rec map[string]any
-	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+	dec := json.NewDecoder(strings.NewReader(line))
+	dec.UseNumber()
+	if err := dec.Decode(&rec); err != nil {
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF { // trailing data after the record
 		return false
 	}
 	msgVal, ok := rec[slog.MessageKey].(string)
@@ -73,6 +80,9 @@ func RelayJSONLine(logger *slog.Logger, line string, extra ...slog.Attr) bool {
 	delete(rec, slog.MessageKey)
 	delete(rec, slog.LevelKey)
 	delete(rec, slog.TimeKey)
+	for _, a := range extra {
+		delete(rec, a.Key)
+	}
 	keys := make([]string, 0, len(rec))
 	for k := range rec {
 		keys = append(keys, k)

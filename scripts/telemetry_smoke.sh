@@ -92,6 +92,17 @@ curl -fsS "$base/metrics" | "$workdir/ccdem-obscheck" -prom - \
 grep -q '"msg":"job submitted"' "$workdir/svc.log"
 grep -q '"msg":"job finished"' "$workdir/svc.log"
 grep -q '"msg":"shard complete".*"job":"'"$id"'"' "$workdir/svc.log"
+# A relayed worker record carries each key once: the daemon's shard attr
+# replaces the one the worker logged (jq would keep only the last of two).
+grep '"msg":"shard complete"' "$workdir/svc.log" > "$workdir/complete.log"
+while IFS= read -r line; do
+  dups=$(printf '%s\n' "$line" \
+    | jq -r --stream 'select(length == 2 and (.[0] | length) == 1) | .[0][0]' | sort | uniq -d)
+  if [ -n "$dups" ]; then
+    echo "telemetry smoke: relayed record repeats key(s) $dups: $line" >&2
+    exit 1
+  fi
+done < "$workdir/complete.log"
 
 # --- Profiling listener ---------------------------------------------
 curl -fsS "${debug}cmdline" > /dev/null
