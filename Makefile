@@ -22,7 +22,9 @@ race:
 
 # Short fuzz pass over every parser boundary (decoders must never panic
 # on hostile input; raise FUZZTIME for a real session; FuzzRelayJSONLine
-# also holds the worker-log relay to one record with unique keys) and the
+# also holds the worker-log relay to one record with unique keys, and
+# FuzzCheckTrace holds ccdem-obscheck to accepting only one trace-event
+# array with the required processes and spans) and the
 # tile/naive differential fuzzers (the optimized pixel pipeline must stay
 # byte-identical to its brute-force oracle). The five op-stream
 # differential fuzzers and FuzzReadScenario bound minimization to 1s per
@@ -46,6 +48,7 @@ fuzz:
 	$(GO) test -fuzz FuzzDecodeJobSpec -fuzztime $(FUZZTIME) ./internal/svc
 	$(GO) test -fuzz FuzzParsePrometheus -fuzztime $(FUZZTIME) ./internal/obs
 	$(GO) test -fuzz FuzzRelayJSONLine -fuzztime $(FUZZTIME) ./internal/obs
+	$(GO) test -fuzz FuzzCheckTrace -fuzztime $(FUZZTIME) ./cmd/ccdem-obscheck
 	$(GO) test -fuzz FuzzReadScenario -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/scenario
 
 # Benchmark-regression gate over the pinned hot-path suite (see

@@ -289,9 +289,10 @@ func fleetBenchCohort(devices int) fleet.Cohort {
 	}
 }
 
-// BenchmarkFleetThroughput gates cohort execution speed: devices fully
-// simulated (baseline + managed segments) per wall second on the streamed,
-// device-reusing, batch-scheduled path.
+// BenchmarkFleetThroughput gates cohort execution speed: devices
+// simulated per wall second (a power-only baseline, which draws and
+// meters no pixels, plus the fully simulated managed segment of each app)
+// on the streamed, device-reusing, batch-scheduled path.
 func BenchmarkFleetThroughput(b *testing.B) {
 	cohort := fleetBenchCohort(32)
 	pool := fleet.Pool{Workers: 8, Batch: 8}

@@ -111,7 +111,20 @@ type Config struct {
 
 	Brightness float64 // backlight 0..1; 0 defaults to the paper's 50%
 
-	MeterSamples  int      // comparison grid size; default 9216 (9K)
+	// MeterSamples is the comparison grid size; default 9216 (9K). A
+	// negative value turns the content meter off, the lean-mode
+	// counterpart to a negative PowerSampleInterval or TraceInterval: no
+	// frame is compared or charged for, the meter-derived Stats fields
+	// (ContentRate, RedundantRate, DisplayQuality, DroppedFPS) read zero,
+	// the Content and Frame traces stay empty, and frame-log records carry
+	// Content false. Without a meter or an OLED panel (whose power model
+	// samples luminance) nothing reads a pixel, so installed apps draw
+	// none (app.Model.SetDraw); frames, damage and render costs are
+	// unchanged, so a GovernorOff device's power, refresh and ground-truth
+	// rates are bit-identical to a metered one's. Governor modes that read
+	// the meter (section, section+boost, naive, E3) reject it.
+	MeterSamples int
+
 	MeterWindow   sim.Time // rate window; default 1 s
 	ControlPeriod sim.Time // governor period; default 500 ms
 	BoostHold     sim.Time // boost hold after last touch; default 300 ms
@@ -254,8 +267,12 @@ type Device struct {
 	lumaBuf  []framebuffer.Color
 
 	// grid is the meter's comparison lattice, cached so Reset can reuse it
-	// when the screen and sample count are unchanged.
-	grid framebuffer.Grid
+	// when the screen and sample count are unchanged; gridN is the
+	// MeterSamples it was built for. Both survive meter-off runs, as do the
+	// meter's lattice and rate rings, so a recycled device alternating
+	// meter-off and metered runs allocates none of them again.
+	grid  framebuffer.Grid
+	gridN int
 }
 
 // NewDevice assembles a device from cfg (defaults applied).
@@ -283,6 +300,8 @@ func NewDevice(cfg Config) (*Device, error) {
 // composes the surface's full bounds over the framebuffer and the meter's
 // comparison history is discarded. A hypothetical client that composes
 // pixels it never painted would see prior-run content instead of zeros.
+// (Apps on a meter-off device paint nothing, but nothing reads their
+// pixels either; see Config.MeterSamples.)
 //
 // All objects previously obtained from the device (apps, surfaces,
 // governor, tickers, handles) are invalidated. On error the device is in
@@ -299,10 +318,13 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		return fmt.Errorf("ccdem: invalid screen %dx%d", cfg.Width, cfg.Height)
 	}
-	// d.cfg still holds the previous run's config; these decide which
+	metered := cfg.MeterSamples > 0
+	if !metered && cfg.Governor != GovernorOff && cfg.Governor != GovernorIdleTimeout {
+		return fmt.Errorf("ccdem: governor %v reads the content meter, which MeterSamples %d turns off", cfg.Governor, cfg.MeterSamples)
+	}
+	// d.cfg still holds the previous run's config; this decides which
 	// dimension-keyed allocations survive the reset.
 	sameScreen := reuse && d.cfg.Width == cfg.Width && d.cfg.Height == cfg.Height
-	sameGrid := sameScreen && d.cfg.MeterSamples == cfg.MeterSamples
 
 	if reuse {
 		d.eng.Reset()
@@ -375,30 +397,33 @@ func (d *Device) init(cfg Config, reuse bool) error {
 			}
 		}
 	}
-	if !sameGrid {
-		d.grid = framebuffer.GridForSamples(cfg.Width, cfg.Height, cfg.MeterSamples)
-	}
-	meterCfg := core.MeterConfig{
-		Grid:      d.grid,
-		Window:    cfg.MeterWindow,
-		Cost:      power.DefaultCompareCost(),
-		OnCompare: onCompare,
-		EarlyExit: cfg.MeterEarlyExit,
-		Recorder:  cfg.Recorder,
-	}
-	if cfg.Faults != nil {
-		meterCfg.Fault = cfg.Faults.MeterHook
-	}
-	if reuse {
-		if err := d.meter.Reset(meterCfg); err != nil {
-			return err
+	if metered {
+		if w, h := d.grid.ScreenDims(); w != cfg.Width || h != cfg.Height || d.gridN != cfg.MeterSamples {
+			d.grid = framebuffer.GridForSamples(cfg.Width, cfg.Height, cfg.MeterSamples)
+			d.gridN = cfg.MeterSamples
 		}
-	} else {
-		meter, err := core.NewMeter(meterCfg)
-		if err != nil {
-			return err
+		meterCfg := core.MeterConfig{
+			Grid:      d.grid,
+			Window:    cfg.MeterWindow,
+			Cost:      power.DefaultCompareCost(),
+			OnCompare: onCompare,
+			EarlyExit: cfg.MeterEarlyExit,
+			Recorder:  cfg.Recorder,
 		}
-		d.meter = meter
+		if cfg.Faults != nil {
+			meterCfg.Fault = cfg.Faults.MeterHook
+		}
+		if d.meter != nil {
+			if err := d.meter.Reset(meterCfg); err != nil {
+				return err
+			}
+		} else {
+			meter, err := core.NewMeter(meterCfg)
+			if err != nil {
+				return err
+			}
+			d.meter = meter
+		}
 	}
 	if reuse {
 		d.replayer.Reset()
@@ -439,7 +464,7 @@ func (d *Device) init(cfg Config, reuse bool) error {
 		d.lumaBuf = make([]framebuffer.Color, d.lumaGrid.Samples())
 	}
 
-	panel, mgr, model, meter := d.panel, d.mgr, d.model, d.meter
+	panel, mgr, model, meter := d.panel, d.mgr, d.model, d.Meter()
 
 	// Observability wiring. Every hook below is gated on the corresponding
 	// sink being non-nil, so a device without obs installs nothing extra
@@ -466,7 +491,7 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	// the governor is on — the content meter. The baseline configuration
 	// also meters (read-only) so frame/content statistics are comparable,
 	// matching how the paper measures meaningful frame rates of unmanaged
-	// apps in §2.2.
+	// apps in §2.2, unless MeterSamples turns the meter off.
 	panel.OnVSync(mgr.VSync)
 	mgr.OnFrame(func(fi surface.FrameInfo) {
 		model.FrameRendered(fi.RenderedPx)
@@ -478,7 +503,10 @@ func (d *Device) init(cfg Config, reuse bool) error {
 		if d.gov != nil {
 			d.gov.NoteFrame(fi.DirtyPixels)
 		}
-		content := d.meter.ObserveFrame(fi.T, mgr.Framebuffer())
+		content := false
+		if meter != nil {
+			content = meter.ObserveFrame(fi.T, mgr.Framebuffer())
+		}
 		if d.recording {
 			d.frameLog = append(d.frameLog, core.FrameRecord{
 				T: fi.T, Content: content, RenderedPx: fi.RenderedPx,
@@ -576,8 +604,14 @@ func (d *Device) Panel() *display.Panel { return d.panel }
 // SurfaceManager exposes the composition layer.
 func (d *Device) SurfaceManager() *surface.Manager { return d.mgr }
 
-// Meter exposes the content-rate meter.
-func (d *Device) Meter() *core.Meter { return d.meter }
+// Meter exposes the content-rate meter (nil when MeterSamples turns it
+// off).
+func (d *Device) Meter() *core.Meter {
+	if d.cfg.MeterSamples < 0 {
+		return nil // d.meter waits, as configured, for the next metered run
+	}
+	return d.meter
+}
 
 // Governor exposes the refresh governor (nil unless a refresh-control
 // mode is active).
@@ -597,6 +631,8 @@ func (d *Device) InstallApp(p app.Params) (*app.Model, error) {
 	if err != nil {
 		return nil, err
 	}
+	// The meter and the OLED luminance sample are the only pixel readers.
+	m.SetDraw(d.Meter() != nil || d.oled)
 	m.Attach(d.eng, d.mgr)
 	if d.cfg.Faults != nil {
 		m.SetStall(d.cfg.Faults.AppStalled)
@@ -659,8 +695,10 @@ func (d *Device) Run(duration sim.Time) {
 
 func (d *Device) recordTraces() {
 	now := d.eng.Now()
-	d.contentTrace.Add(now, d.meter.ContentRate(now))
-	d.frameTrace.Add(now, d.meter.FrameRate(now))
+	if meter := d.Meter(); meter != nil {
+		d.contentTrace.Add(now, meter.ContentRate(now))
+		d.frameTrace.Add(now, meter.FrameRate(now))
+	}
 	d.refreshTrace.Add(now, float64(d.panel.Rate()))
 	intended := 0.0
 	for _, m := range d.apps {
@@ -743,10 +781,16 @@ func (d *Device) Stats() Stats {
 	s.EnergyMJ = d.model.EnergyMJ()
 	s.Breakdown = d.model.Breakdown()
 
-	frames, content := d.meter.Totals()
-	s.FrameRate = float64(frames) / dur
-	s.ContentRate = float64(content) / dur
-	s.RedundantRate = s.FrameRate - s.ContentRate
+	// Every latched frame is observed by the meter when it runs, so the
+	// manager's count is the meter's frame count.
+	s.FrameRate = float64(d.mgr.Frames()) / dur
+	meter := d.Meter()
+	var content uint64
+	if meter != nil {
+		_, content = meter.Totals()
+		s.ContentRate = float64(content) / dur
+		s.RedundantRate = s.FrameRate - s.ContentRate
+	}
 
 	var intended uint64
 	for _, m := range d.apps {
@@ -756,7 +800,10 @@ func (d *Device) Stats() Stats {
 		intended += wp.ContentFrames()
 	}
 	s.IntendedRate = float64(intended) / dur
-	if intended > 0 {
+	switch {
+	case meter == nil:
+		// Meter off: no estimate, so no quality or drop figure.
+	case intended > 0:
 		q := float64(content) / float64(intended)
 		if q > 1 {
 			q = 1
@@ -765,7 +812,7 @@ func (d *Device) Stats() Stats {
 		if drop := s.IntendedRate - s.ContentRate; drop > 0 {
 			s.DroppedFPS = drop
 		}
-	} else {
+	default:
 		s.DisplayQuality = 1
 	}
 
@@ -813,10 +860,14 @@ func (d *Device) FinishObs() {
 	}
 	d.flushResidency(now)
 
-	frames, content := d.meter.Totals()
-	reg.Counter("frames_total").Add(frames)
+	reg.Counter("frames_total").Add(d.mgr.Frames())
+	var content, redundant uint64
+	if meter := d.Meter(); meter != nil {
+		_, content = meter.Totals()
+		redundant = meter.TotalRedundant()
+	}
 	reg.Counter("content_frames_total").Add(content)
-	reg.Counter("redundant_frames_total").Add(d.meter.TotalRedundant())
+	reg.Counter("redundant_frames_total").Add(redundant)
 	reg.Counter("vsync_refreshes_total").Add(d.panel.Refreshes())
 	reg.Counter("refresh_switches_total").Add(d.panel.Switches())
 	reg.Counter("deferred_latches_total").Add(d.mgr.DeferredLatches())

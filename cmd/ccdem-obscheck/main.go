@@ -13,6 +13,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -49,7 +50,7 @@ func realMain(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *tracePath != "" {
-		if err := checkTrace(*tracePath, *minPids, *spans, stdout); err != nil {
+		if err := checkTraceFile(*tracePath, *minPids, *spans, stdout); err != nil {
 			fmt.Fprintf(stderr, "ccdem-obscheck: %v\n", err)
 			return 1
 		}
@@ -94,18 +95,34 @@ func checkProm(path, require string, stdout io.Writer) error {
 	return nil
 }
 
-func checkTrace(path string, minPids int, spans string, stdout io.Writer) error {
+func checkTraceFile(path string, minPids int, spans string, stdout io.Writer) error {
 	r, err := open(path)
 	if err != nil {
 		return err
 	}
 	defer r.Close()
+	return checkTrace(r, minPids, spans, stdout)
+}
+
+// checkTrace validates a Chrome trace-event document: exactly one JSON
+// array, whose complete (ph=X) events come from at least minPids distinct
+// processes and name every span in the comma-separated spans list.
+func checkTrace(r io.Reader, minPids int, spans string, stdout io.Writer) error {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return fmt.Errorf("trace: %w", err)
+	}
+	// null would decode to an empty array, and a stream decoder would
+	// ignore bytes after the array; Unmarshal and the '[' check refuse both.
+	if doc := bytes.TrimLeft(data, " \t\r\n"); len(doc) == 0 || doc[0] != '[' {
+		return fmt.Errorf("trace: not a JSON event array")
+	}
 	var events []struct {
 		Name string `json:"name"`
 		Ph   string `json:"ph"`
 		PID  int    `json:"pid"`
 	}
-	if err := json.NewDecoder(r).Decode(&events); err != nil {
+	if err := json.Unmarshal(data, &events); err != nil {
 		return fmt.Errorf("trace: not a JSON event array: %w", err)
 	}
 	pids := map[int]bool{}

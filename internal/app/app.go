@@ -169,6 +169,9 @@ type Model struct {
 	memoHits   uint64
 	memoMisses uint64
 
+	// noDraw: nothing reads the surface's pixels (see SetDraw).
+	noDraw bool
+
 	// Ground truth for the display-quality metric: content updates the
 	// app intended to show, independent of what the refresh rate let
 	// through.
@@ -265,12 +268,21 @@ func (m *Model) Paused() bool { return m.pacer == nil && m.eng != nil }
 // default) disables injection.
 func (m *Model) SetStall(fn func(sim.Time) bool) { m.stall = fn }
 
+// SetDraw selects whether the model writes pixels; it draws by default.
+// A device on which nothing reads pixels (no content meter and no
+// luminance-sampling panel) turns drawing off before Attach. The model
+// then advances its content state and reports the same damage regions
+// and render costs, so dirty-pixel and render accounting are unchanged,
+// but leaves its surface buffer unwritten and bypasses the state memo.
+func (m *Model) SetDraw(on bool) { m.noDraw = !on }
+
 // Surface exposes the model's surface for statistics.
 func (m *Model) Surface() *surface.Surface { return m.srf }
 
 // MemoStats returns the model's lifetime state-memo hit and miss counts.
 // Both are zero on a plain surface buffer, where the state memo is off,
-// and once content has advanced past the memoizable window.
+// on a model that does not draw, and once content has advanced past the
+// memoizable window.
 func (m *Model) MemoStats() (hits, misses uint64) { return m.memoHits, m.memoMisses }
 
 // HandleTouch feeds a touch event to the model (wire it to the input

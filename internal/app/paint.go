@@ -75,21 +75,27 @@ func (m *Model) bgColor() framebuffer.Color {
 // sprite positions from the name-seeded rng, and scroll/content state
 // starts at zero — so identical installs share one memoized screen via
 // copy-on-write (see initcache.go) instead of repainting ~1 MB of pixels.
+//
+// A model that does not draw (SetDraw) leaves the buffer unwritten and
+// keeps only the painter state a memo hit keeps.
 func (m *Model) initPaint() {
 	buf := m.srf.Buffer()
 	m.initSprites()
-	key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h}
-	if memo := lookupStateScreen(key); memo != nil {
-		buf.ShareFrom(memo)
-		if m.p.Style == StyleSprites {
-			// paintSprites did not run: record the drawn positions it
-			// would have, so the first content paint erases them.
-			m.prevSprites = append(m.prevSprites[:0], m.sprites...)
+	if !m.noDraw {
+		key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h}
+		memo := lookupStateScreen(key)
+		if memo == nil {
+			m.paintInitial(buf)
+			storeStateScreen(key, buf)
+			return
 		}
-		return
+		buf.ShareFrom(memo)
 	}
-	m.paintInitial(buf)
-	storeStateScreen(key, buf)
+	if m.p.Style == StyleSprites {
+		// paintSprites did not run: record the drawn positions it
+		// would have, so the first content paint erases them.
+		m.prevSprites = append(m.prevSprites[:0], m.sprites...)
+	}
 }
 
 // initSprites draws a sprite app's kinematic state from the rng. It runs
@@ -179,8 +185,14 @@ func (m *Model) advanceContent() {
 // paths report identical damage and render cost, so every downstream
 // decision — dirty-pixel accounting, compose, metering — is byte-for-byte
 // the same with and without the memo (the golden and differential tests
-// hold this line).
+// hold this line). A model that does not draw (SetDraw) takes only the
+// hit path's damage bookkeeping: no pixels, no memo lookup or store, so
+// its unwritten buffer never enters the memo.
 func (m *Model) paint(buf *framebuffer.Buffer) {
+	if m.noDraw {
+		m.memoDamage()
+		return
+	}
 	key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h, seq: m.contentSeq}
 	if buf.TilesEnabled() && memoAdmit(key) {
 		if memo := lookupStateScreen(key); memo != nil {
@@ -220,7 +232,8 @@ func (m *Model) memoHit(memo, buf *framebuffer.Buffer) {
 // would have, in the same Region.Add order (Add's merging is
 // order-sensitive, and the damage region feeds dirty-pixel accounting),
 // and performs the painter-state updates the skipped paint would have
-// done (prevSprites tracking).
+// done (prevSprites tracking). It is the whole render of a model that
+// does not draw.
 func (m *Model) memoDamage() {
 	switch m.p.Style {
 	case StyleFeed:

@@ -1,6 +1,7 @@
 package app
 
 import (
+	"reflect"
 	"testing"
 
 	"ccdem/internal/framebuffer"
@@ -215,6 +216,65 @@ func TestStateMemoFollowsTracking(t *testing.T) {
 		eng.RunUntil(sim.Second)
 		if hits, misses := m.MemoStats(); (hits+misses > 0) != tiles {
 			t.Errorf("tracked=%v: memo hits %d, misses %d", tiles, hits, misses)
+		}
+	}
+}
+
+// TestUndrawnModelBypassesMemo: a model that does not draw reports the
+// damage and render cost of one that draws, writes no pixel and leaves
+// the state memo untouched, install screen included, so no unwritten
+// buffer can ever be served to a drawing model. The undrawn model runs
+// first, on names no other test uses, so the memo is cold for it on the
+// first run.
+func TestUndrawnModelBypassesMemo(t *testing.T) {
+	memoized := func(name string) int {
+		stateScreenMu.RLock()
+		defer stateScreenMu.RUnlock()
+		n := 0
+		for k := range stateScreens {
+			if k.name == name {
+				n++
+			}
+		}
+		return n
+	}
+	for _, style := range []PaintStyle{StyleFeed, StyleSprites, StyleVideo, StylePulse} {
+		p := Params{
+			Name: "undrawn-" + styleName(style), Cat: General, Style: style,
+			IdleContentFPS: 20, IdleInvalidateFPS: 30,
+			TouchContentFPS: 30, TouchInvalidateFPS: 40,
+		}
+		var frames [2][]surface.FrameInfo
+		stored := memoized(p.Name)
+		for i, draw := range []bool{false, true} {
+			eng := sim.NewEngine()
+			mgr := surface.NewManager(eng, 240, 320)
+			mgr.SetTiles(true)
+			mgr.OnFrame(func(fi surface.FrameInfo) { frames[i] = append(frames[i], fi) })
+			m, err := New(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.SetDraw(draw)
+			m.Attach(eng, mgr)
+			eng.Every(sim.Hz(60), sim.Hz(60), func() { mgr.VSync(eng.Now(), 60) })
+			eng.RunUntil(2 * sim.Second)
+			if draw {
+				continue
+			}
+			if n := memoized(p.Name) - stored; n != 0 {
+				t.Errorf("%s: undrawn model stored %d memo screens", p.Name, n)
+			}
+			if hits, misses := m.MemoStats(); hits+misses != 0 {
+				t.Errorf("%s: undrawn model used the memo: %d hits, %d misses", p.Name, hits, misses)
+			}
+			if buf := m.Surface().Buffer(); !buf.Equal(framebuffer.New(240, 320)) {
+				t.Errorf("%s: undrawn model wrote pixels", p.Name)
+			}
+		}
+		if len(frames[0]) == 0 || !reflect.DeepEqual(frames[0], frames[1]) {
+			t.Errorf("%s: undrawn model's %d frames differ from the drawing model's %d (damage or render cost)",
+				p.Name, len(frames[0]), len(frames[1]))
 		}
 	}
 }

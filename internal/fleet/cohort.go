@@ -112,8 +112,9 @@ type Cohort struct {
 	// *managed* session (the configuration under study) records decision
 	// events and metrics under one collector track, with its per-app
 	// segments concatenated on a single timeline. Baseline segments run
-	// uninstrumented so the merged metrics describe the managed system.
-	// Nil disables observability at zero cost.
+	// uninstrumented, and power-only (see runSegment), so the merged
+	// metrics describe the managed system. Nil disables observability at
+	// zero cost.
 	Obs *obs.Collector
 
 	// Faults, when non-nil, injects deterministic faults into every
@@ -699,11 +700,21 @@ func (c Cohort) segmentScript(prof Profile, seed int64, dur sim.Time) (input.Scr
 // hardened. With a lane, the worker's device is Reset in place instead of
 // constructed — the steady-state cohort path allocates per segment only
 // what the script and stats inherently need.
+//
+// The baseline (GovernorOff; the managed mode never is after defaulting)
+// runs power-only: the campaign reads nothing from it but MeanPowerMW,
+// which on the campaigns' LCD panel no pixel feeds, so it runs with the
+// content meter off and its app draws nothing (ccdem.Config.MeterSamples).
+// Its power is bit-identical to a metered baseline's.
 func (c Cohort) runSegment(lane *deviceLane, p app.Params, mode ccdem.GovernorMode, dur sim.Time, script input.Script, rec *obs.Recorder, reg *obs.Registry, inj *fault.Injector, hard *core.HardeningConfig) (ccdem.Stats, error) {
+	samples := c.MeterSamples
+	if mode == ccdem.GovernorOff {
+		samples = -1
+	}
 	cfg := ccdem.Config{
 		Width: screenW, Height: screenH,
 		Governor:     mode,
-		MeterSamples: c.MeterSamples,
+		MeterSamples: samples,
 		NaivePixels:  c.NaivePixels,
 		Recorder:     rec,
 		Metrics:      reg,

@@ -135,6 +135,10 @@ func TestCohortValidation(t *testing.T) {
 			Name: "p", Weight: 1, SessionJitter: 1.5,
 			Apps: []AppShare{{Name: "Facebook", Weight: 1}},
 		}}}},
+		// A negative MeterSamples turns a device's meter off, which only
+		// the cohort's own baselines may do: specs, ccdem-fleet flags and
+		// svc jobs all reach Validate, so none can unmeter the managed run.
+		{"meter off", Cohort{Devices: 1, MeterSamples: -1}},
 	}
 	for _, tc := range cases {
 		if _, err := tc.cohort.Run(context.Background(), Pool{}); err == nil {

@@ -73,6 +73,11 @@ func GridForSamples(w, h, n int) Grid {
 	}
 	// cols/rows ≈ w/h and cols*rows ≈ n  ⇒  cols = sqrt(n·w/h).
 	cols := int(math.Round(math.Sqrt(float64(n) * float64(w) / float64(h))))
+	if cols > n {
+		// On a screen more than n times wider than tall the aspect rule
+		// asks for more columns than samples, overshooting n.
+		cols = n
+	}
 	if cols < 1 {
 		cols = 1
 	}

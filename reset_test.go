@@ -14,13 +14,15 @@ import (
 // resetRunConfigs is a spread of device configurations that exercise the
 // reuse paths: same screen and grid (buffers and lattices recycled), the
 // pixel-pipeline switch in both directions on recycled buffers, a
-// different metering grid (lattices rebuilt), different screen dimensions
-// (everything pixel-sized rebuilt), and governor changes.
+// meter-off run between metered ones, a different metering grid
+// (lattices rebuilt), different screen dimensions (everything pixel-sized
+// rebuilt), and governor changes.
 func resetRunConfigs() []ccdem.Config {
 	return []ccdem.Config{
 		{Governor: ccdem.GovernorSectionBoost},
 		{Governor: ccdem.GovernorSectionBoost, NaivePixels: true},
 		{Governor: ccdem.GovernorSection},
+		{Governor: ccdem.GovernorOff, MeterSamples: -1},
 		{Governor: ccdem.GovernorSectionBoost, MeterSamples: 1024},
 		{Governor: ccdem.GovernorNaive, Width: 480, Height: 800},
 		{Governor: ccdem.GovernorOff},
@@ -49,7 +51,7 @@ func driveDevice(t *testing.T, dev *ccdem.Device, seed int64, dur sim.Time) ccde
 // grid geometry changes. The device is deliberately left mid-state (run
 // history, installed apps, recorded traces) before each Reset.
 func TestDeviceResetMatchesFresh(t *testing.T) {
-	apps := []string{"Jelly Splash", "KakaoTalk", "Facebook", "KakaoTalk", "MX Player", "Naver"}
+	apps := []string{"Jelly Splash", "KakaoTalk", "Facebook", "Naver", "KakaoTalk", "MX Player", "Naver"}
 	cfgs := resetRunConfigs()
 
 	type outcome struct {
