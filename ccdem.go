@@ -98,6 +98,12 @@ func (g GovernorMode) String() string {
 	}
 }
 
+// readsMeter reports whether the mode's policy reads the content meter:
+// every mode but the baseline and the content-blind idle timeout.
+func (g GovernorMode) readsMeter() bool {
+	return g != GovernorOff && g != GovernorIdleTimeout
+}
+
 // Config assembles a simulated device. The zero value, after defaulting,
 // is the paper's experimental platform: a 720×1280 Galaxy S3 LTE panel
 // with refresh levels {20,24,30,40,60} Hz at 50% brightness, metering on
@@ -293,15 +299,11 @@ func NewDevice(cfg Config) (*Device, error) {
 // a cohort run one device per worker across millions of tasks with a
 // per-task allocation cost that approaches the input script alone.
 //
-// Pixel buffers are deliberately NOT cleared. A reset device is
-// bit-identical to a fresh one for clients that fully paint their surface
-// before the first frame — every app and wallpaper in the catalog does
-// (their initial paint fills the whole buffer) — because the first latch
-// composes the surface's full bounds over the framebuffer and the meter's
-// comparison history is discarded. A hypothetical client that composes
-// pixels it never painted would see prior-run content instead of zeros.
-// (Apps on a meter-off device paint nothing, but nothing reads their
-// pixels either; see Config.MeterSamples.)
+// The framebuffer and reused surface buffers come back blank, as a fresh
+// device's do (surface.Manager.Reset), and the meter's comparison history
+// is discarded, so a reset device is bit-identical to a fresh one. (Apps
+// on a meter-off device paint nothing, but nothing reads their pixels
+// either; see Config.MeterSamples.)
 //
 // All objects previously obtained from the device (apps, surfaces,
 // governor, tickers, handles) are invalidated. On error the device is in
@@ -319,7 +321,7 @@ func (d *Device) init(cfg Config, reuse bool) error {
 		return fmt.Errorf("ccdem: invalid screen %dx%d", cfg.Width, cfg.Height)
 	}
 	metered := cfg.MeterSamples > 0
-	if !metered && cfg.Governor != GovernorOff && cfg.Governor != GovernorIdleTimeout {
+	if !metered && cfg.Governor.readsMeter() {
 		return fmt.Errorf("ccdem: governor %v reads the content meter, which MeterSamples %d turns off", cfg.Governor, cfg.MeterSamples)
 	}
 	// d.cfg still holds the previous run's config; this decides which
@@ -380,12 +382,12 @@ func (d *Device) init(cfg Config, reuse bool) error {
 	} else {
 		d.pwrMeter = nil
 	}
-	// In the baseline configuration the meter still observes frames so the
-	// reported statistics are comparable, but — like the paper's offline
-	// §2.2 analysis — it charges no energy: the unmodified system runs no
-	// metering.
+	// Under a policy that does not read the meter (the baseline and the
+	// idle timeout) the meter still observes frames so the reported
+	// statistics are comparable, but — like the paper's offline §2.2
+	// analysis — it charges no energy: such a system runs no metering.
 	var onCompare func(sim.Time)
-	if cfg.Governor != GovernorOff {
+	if cfg.Governor.readsMeter() {
 		onCompare = d.model.MeterCompare
 	}
 	if h := cfg.Metrics.Histogram("compare_cost_us", obs.CompareCostBucketsUS); h != nil {

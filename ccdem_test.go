@@ -228,6 +228,55 @@ func TestBaselineChargesNoMeterEnergy(t *testing.T) {
 	}
 }
 
+// TestIdleTimeoutChargesNoMeterEnergy: the idle-timeout policy is
+// content-blind, so like the baseline it pays nothing for the read-only
+// meter that keeps its statistics comparable. Its power and energy equal
+// a meter-off run's bit for bit.
+func TestIdleTimeoutChargesNoMeterEnergy(t *testing.T) {
+	run := func(samples int) Stats {
+		d := mustDevice(t, Config{Governor: GovernorIdleTimeout, MeterSamples: samples})
+		mustApp(t, d, "Jelly Splash")
+		d.PlayScript(script(t, 1, 60*sim.Second))
+		d.Run(60 * sim.Second)
+		return d.Stats()
+	}
+	metered, off := run(0), run(-1)
+	if e := metered.Breakdown[powerMeterComponent()]; e != 0 {
+		t.Errorf("idle-timeout meter energy = %v mJ, want 0", e)
+	}
+	if metered.MeanPowerMW != off.MeanPowerMW || metered.EnergyMJ != off.EnergyMJ {
+		t.Errorf("metered idle-timeout run %v mW / %v mJ, meter-off run %v mW / %v mJ; want equal",
+			metered.MeanPowerMW, metered.EnergyMJ, off.MeanPowerMW, off.EnergyMJ)
+	}
+}
+
+// TestNaivePixelsInstallReadsNoSnapshot: the oracle pipeline reads no
+// palette state. In one process, a NaivePixels device that installs an
+// app after tile-pipeline devices have memoized its install screen
+// paints its own plain screen instead of aliasing the memo, and its
+// surface buffer holds no palette tile after the install and after a
+// run.
+func TestNaivePixelsInstallReadsNoSnapshot(t *testing.T) {
+	const name = "Facebook"
+	mustApp(t, mustDevice(t, Config{}), name)
+	if buf := mustApp(t, mustDevice(t, Config{}), name).Surface().Buffer(); !buf.Shared() {
+		t.Fatalf("a second tile-pipeline install of %s does not alias the memoized screen", name)
+	}
+	d := mustDevice(t, Config{NaivePixels: true})
+	buf := mustApp(t, d, name).Surface().Buffer()
+	check := func(when string) {
+		t.Helper()
+		if buf.Shared() || buf.PaletteTiles() != 0 {
+			t.Errorf("%s: naive surface buffer Shared() = %v, PaletteTiles() = %d; want false, 0",
+				when, buf.Shared(), buf.PaletteTiles())
+		}
+	}
+	check("after install")
+	d.PlayScript(script(t, 1, 5*sim.Second))
+	d.Run(5 * sim.Second)
+	check("after a run")
+}
+
 // powerMeterComponent avoids importing power in half the test file's call
 // sites; it just names the meter component.
 func powerMeterComponent() power.Component { return power.MeterOver }

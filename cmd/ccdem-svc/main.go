@@ -49,15 +49,10 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	shardWorker := fs.String("shard-worker", "", "internal: run one shard at position i/n — job document on stdin, shard document on stdout, progress on stderr")
 	logFormat := fs.String("log-format", "text", "structured log format on stderr: text or json")
 	debugAddr := fs.String("debug-addr", "", "optional address for the net/http/pprof profiling endpoints (off when empty)")
-	stateDir := fs.String("state-dir", "", "directory for crash-safe job persistence: specs are journaled and campaigns checkpointed so a restarted daemon resumes incomplete jobs (off when empty)")
-	checkpointEvery := fs.Int("checkpoint-every", 1, "completed shards between checkpoint writes under -state-dir")
+	stateDir := fs.String("state-dir", "", "directory for crash-safe job persistence: specs are journaled and campaigns checkpointed after every completed shard so a restarted daemon resumes incomplete jobs (off when empty)")
 	shardRetries := fs.Int("shard-retries", 3, "attempts per shard (first try included) before the campaign fails")
 	version := fs.Bool("version", false, "print version and exit")
 	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	if *checkpointEvery < 1 {
-		fmt.Fprintf(stderr, "ccdem-svc: -checkpoint-every must be at least 1, got %d\n", *checkpointEvery)
 		return 2
 	}
 	if *shardRetries < 1 {
@@ -104,12 +99,11 @@ func realMain(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}
 	m := svc.NewManager(svc.Config{
-		Runner:          runner,
-		MaxJobs:         *maxJobs,
-		Logger:          logger,
-		Store:           store,
-		CheckpointEvery: *checkpointEvery,
-		Retry:           svc.RetryPolicy{MaxAttempts: *shardRetries},
+		Runner:  runner,
+		MaxJobs: *maxJobs,
+		Logger:  logger,
+		Store:   store,
+		Retry:   svc.RetryPolicy{MaxAttempts: *shardRetries},
 	})
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {

@@ -669,15 +669,14 @@ func TestWorkerRejectsMalformedCrashPlan(t *testing.T) {
 	}
 }
 
-// TestDaemonFlagValidation: the fault-tolerance flags reject nonsense
-// with usage exits.
+// TestDaemonFlagValidation: the fault-tolerance flag rejects nonsense
+// with a usage exit.
 func TestDaemonFlagValidation(t *testing.T) {
 	cases := []struct {
 		name string
 		args []string
 		want string
 	}{
-		{"zero checkpoint cadence", []string{"-state-dir", "x", "-checkpoint-every", "0"}, "-checkpoint-every"},
 		{"zero retries", []string{"-shard-retries", "0"}, "-shard-retries"},
 	}
 	for _, tc := range cases {
@@ -718,7 +717,6 @@ func TestDaemonStateDirResume(t *testing.T) {
 			exited <- realMain([]string{
 				"-listen", "127.0.0.1:0",
 				"-state-dir", stateDir,
-				"-checkpoint-every", "1",
 				"-shutdown-timeout", "30s",
 			}, strings.NewReader(""), io.Discard, stderrW)
 			stderrW.Close()

@@ -379,7 +379,7 @@ func (m *Model) IntendedRate(now sim.Time) float64 { return m.intended.Rate(now)
 // IntendedTotal returns the lifetime count of intended content updates.
 func (m *Model) IntendedTotal() uint64 { return m.intendedTotal }
 
-// RenderRegion implements surface.RegionClient: the manager calls it at
+// RenderRegion implements surface.Client: the manager calls it at
 // V-Sync when a requested frame is due. The returned region lists every
 // damaged rectangle (sprite erases and draws separately), so dirty-pixel
 // accounting does not overestimate via bounding boxes.
@@ -400,11 +400,4 @@ func (m *Model) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.
 		cost = m.w * m.h
 	}
 	return &m.damage, cost
-}
-
-// Render implements surface.Client (bounding-box fallback for managers
-// that do not use regions).
-func (m *Model) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
-	region, cost := m.RenderRegion(t, buf)
-	return region.Bounds(), cost
 }

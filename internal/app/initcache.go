@@ -16,9 +16,10 @@ import (
 // key and later renders alias it copy-on-write (Buffer.ShareFrom /
 // ShareFromDamage) — a memo hit writes no pixels at all.
 //
-// seq 0 is the install screen (memoized on either pixel pipeline);
-// seq > 0 entries are the intermediate-state extension, admitted for feed
-// apps only (see memoAdmit). Every entry is a palette-compressed snapshot
+// The memo serves the tile pipeline only: a plain (oracle) surface buffer
+// neither reads nor fills it. seq 0 is the install screen; seq > 0
+// entries are the intermediate-state extension, admitted for feed apps
+// only (see memoAdmit). Every entry is a palette-compressed snapshot
 // (NewPaletteSnapshot) that stores each run of alike tiles once, so a
 // cached feed screen costs ~0.06 MB instead of ~3.7 MB raw.
 //

@@ -73,8 +73,12 @@ func (m *Model) bgColor() framebuffer.Color {
 // the first frame latches. The screen is a pure function of (name, style,
 // width, height) — backgrounds and colors derive from style and salt,
 // sprite positions from the name-seeded rng, and scroll/content state
-// starts at zero — so identical installs share one memoized screen via
-// copy-on-write (see initcache.go) instead of repainting ~1 MB of pixels.
+// starts at zero — so identical installs on the tile pipeline share one
+// memoized screen via copy-on-write (see initcache.go) instead of
+// repainting ~1 MB of pixels. Like the feed-state memo (paint), it runs
+// only when buf tracks tiles: a plain buffer, the oracle pipeline's,
+// paints its install screen and stores nothing, so it never reads or
+// aliases a palette snapshot.
 //
 // A model that does not draw (SetDraw) leaves the buffer unwritten and
 // keeps only the painter state a memo hit keeps.
@@ -82,6 +86,10 @@ func (m *Model) initPaint() {
 	buf := m.srf.Buffer()
 	m.initSprites()
 	if !m.noDraw {
+		if !buf.TilesEnabled() {
+			m.paintInitial(buf)
+			return
+		}
 		key := stateKey{name: m.p.Name, style: m.p.Style, w: m.w, h: m.h}
 		memo := lookupStateScreen(key)
 		if memo == nil {
@@ -176,13 +184,13 @@ func (m *Model) advanceContent() {
 // damaged rectangles into m.damage.
 //
 // The state memo runs when buf tracks tiles — the hit path aliases
-// palette-compressed snapshots, the tile pipeline's representation. The
-// install screen (seq 0, see initPaint) is memoized on either pipeline.
-// With the content still in the memoizable window, the screen for
-// contentSeq may already exist (painted earlier by any device): the hit
-// path records exactly the damage painting would have reported and
-// aliases the memo copy-on-write instead of writing pixels. The miss path paints normally and publishes the result. Both
-// paths report identical damage and render cost, so every downstream
+// palette-compressed snapshots, the tile pipeline's representation — as
+// the install-screen memo (seq 0, see initPaint) does. With the content
+// still in the memoizable window, the screen for contentSeq may already
+// exist (painted earlier by any device): the hit path records exactly
+// the damage painting would have reported and aliases the memo
+// copy-on-write instead of writing pixels. The miss path paints normally
+// and publishes the result. Both paths report identical damage and render cost, so every downstream
 // decision — dirty-pixel accounting, compose, metering — is byte-for-byte
 // the same with and without the memo (the golden and differential tests
 // hold this line). A model that does not draw (SetDraw) takes only the

@@ -40,8 +40,8 @@ func fuzzMutate(rng *rand.Rand, twins [2]*framebuffer.Buffer, aux *framebuffer.B
 		r, dy := fuzzMeterRect(rng, w, h), rng.Intn(2*h+1)-h
 		mutate = func(buf *framebuffer.Buffer) { buf.ScrollVert(r, dy) }
 	case 3:
-		sr, dx, dy := fuzzMeterRect(rng, w, h), rng.Intn(w+10)-5, rng.Intn(h+10)-5
-		mutate = func(buf *framebuffer.Buffer) { buf.Blit(aux, sr, dx, dy) }
+		r := fuzzMeterRect(rng, w, h)
+		mutate = func(buf *framebuffer.Buffer) { buf.Blit(aux, r) }
 	case 4:
 		mutate = func(buf *framebuffer.Buffer) { buf.CopyFrom(aux) }
 	case 5:

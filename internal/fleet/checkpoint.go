@@ -38,15 +38,6 @@ import (
 // scratch rather than guessing at field semantics).
 const checkpointWireVersion = 1
 
-// ShardRange is shard index's contiguous slice [lo, hi) of an n-device
-// index space split count ways — the exported form of the exact integer
-// partition every process of a sharded campaign agrees on. The service
-// layer uses it to account resumed shards' device counts without
-// re-running them.
-func ShardRange(n, index, count int) (lo, hi int) {
-	return shardRange(n, index, count)
-}
-
 // Checkpoint accumulates a sharded campaign's completed shards into a
 // resumable snapshot: which shards are done, the accumulator merged over
 // exactly those shards, and the failure rows from their slices. It is
@@ -106,10 +97,10 @@ func (c *Checkpoint) DoneShards() []int {
 // Complete reports whether every shard has been folded in.
 func (c *Checkpoint) Complete() bool { return len(c.done) == c.ShardCount }
 
-// AddShard folds one completed shard into the checkpoint, enforcing the
-// cross-shard consistency MergeShards enforces: same shard count, same
-// cohort size, same profile order, no duplicate indices. The shard's
-// accumulator must not be used afterwards.
+// AddShard folds one completed shard into the checkpoint, enforcing
+// cross-shard consistency: same shard count, same cohort size, same
+// profile order, no duplicate indices. The shard's accumulator must not
+// be used afterwards.
 func (c *Checkpoint) AddShard(s *Shard) error {
 	if s.Count != c.ShardCount {
 		return fmt.Errorf("fleet: checkpoint: shard %d/%d against a %d-shard campaign", s.Index, s.Count, c.ShardCount)
@@ -143,11 +134,12 @@ func (c *Checkpoint) AddShard(s *Shard) error {
 	return nil
 }
 
-// Result finalizes a complete checkpoint into the campaign result —
-// the same tail MergeShards runs, so a campaign assembled through any
-// interleaving of AddShard calls (including across a crash and resume)
-// is byte-identical to the uninterrupted merge. The checkpoint must not
-// be used afterwards.
+// Result finalizes a complete checkpoint into the campaign result. It is
+// the one finishing tail: MergeShards is AddShard over a whole shard set
+// then Result, so a campaign assembled through any interleaving of
+// AddShard calls (including across a crash and resume) is byte-identical
+// to the uninterrupted merge. The checkpoint must not be used
+// afterwards.
 func (c *Checkpoint) Result() (*Result, error) {
 	if !c.Complete() {
 		return nil, fmt.Errorf("fleet: checkpoint: %d of %d shards complete", len(c.done), c.ShardCount)
@@ -316,7 +308,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 	// shard-document invariant, summed over the done set.
 	var want int64
 	for _, i := range doc.Done {
-		lo, hi := shardRange(doc.CohortDevices, i, doc.Shards)
+		lo, hi := ShardRange(doc.CohortDevices, i, doc.Shards)
 		want += int64(hi - lo)
 	}
 	if got := acc.devices + int64(len(doc.Failed)); got != want {
@@ -333,7 +325,7 @@ func DecodeCheckpoint(r io.Reader) (*Checkpoint, error) {
 			return nil, fmt.Errorf("fleet: checkpoint codec: failed device %d outside the cohort", f.Device)
 		}
 		shard := sort.Search(doc.Shards, func(i int) bool {
-			_, hi := shardRange(doc.CohortDevices, i, doc.Shards)
+			_, hi := ShardRange(doc.CohortDevices, i, doc.Shards)
 			return f.Device < hi
 		})
 		if !c.done[shard] {

@@ -365,7 +365,7 @@ func DecodeShard(r io.Reader) (*Shard, error) {
 			return nil, fmt.Errorf("fleet: shard codec: accumulator profile %q absent from profile order", name)
 		}
 	}
-	lo, hi := shardRange(doc.CohortDevices, doc.Shard, doc.Of)
+	lo, hi := ShardRange(doc.CohortDevices, doc.Shard, doc.Of)
 	if got := acc.devices + int64(len(doc.Failed)); got != int64(hi-lo) {
 		return nil, fmt.Errorf("fleet: shard codec: shard %d/%d accounts for %d devices, slice [%d,%d) holds %d",
 			doc.Shard, doc.Of, got, lo, hi, hi-lo)
@@ -412,57 +412,25 @@ func DecodeShard(r io.Reader) (*Shard, error) {
 	}, nil
 }
 
-// MergeShards folds a campaign's shard set into the final result,
-// merging accumulators in ascending shard order — the distributed
-// counterpart of the in-process streamed path merging worker shards in
-// worker order. Because the shard state is integral, the aggregate is
-// byte-identical to a single process running the whole cohort. The set
-// must hold exactly one shard per index of one consistent campaign.
-// Shards and their accumulators must not be used afterwards.
+// MergeShards folds a campaign's shard set into the final result through
+// a Checkpoint: AddShard per shard, which enforces the set's consistency,
+// then Result. It is the distributed counterpart of the in-process
+// streamed path merging worker shards. Because the shard state is
+// integral, the aggregate is byte-identical to a single process running
+// the whole cohort, in whatever order the shards come. The set must hold
+// exactly one shard per index of one consistent campaign. Shards and
+// their accumulators must not be used afterwards.
 func MergeShards(shards []*Shard) (*Result, error) {
 	if len(shards) == 0 {
 		return nil, fmt.Errorf("fleet: merge: no shards")
 	}
-	ref := shards[0]
-	if ref.Count != len(shards) {
-		return nil, fmt.Errorf("fleet: merge: have %d shards of a %d-way campaign", len(shards), ref.Count)
-	}
-	byIndex := make([]*Shard, len(shards))
+	c := NewCheckpoint("", "", shards[0].Count)
 	for _, s := range shards {
-		if s.Count != ref.Count || s.CohortDevices != ref.CohortDevices {
-			return nil, fmt.Errorf("fleet: merge: shard %d/%d (%d devices) inconsistent with shard %d/%d (%d devices)",
-				s.Index, s.Count, s.CohortDevices, ref.Index, ref.Count, ref.CohortDevices)
+		if err := c.AddShard(s); err != nil {
+			return nil, err
 		}
-		if len(s.ProfileOrder) != len(ref.ProfileOrder) {
-			return nil, fmt.Errorf("fleet: merge: shard %d profile order differs", s.Index)
-		}
-		for i, name := range s.ProfileOrder {
-			if name != ref.ProfileOrder[i] {
-				return nil, fmt.Errorf("fleet: merge: shard %d profile order differs at %q", s.Index, name)
-			}
-		}
-		if s.Index < 0 || s.Index >= len(byIndex) || byIndex[s.Index] != nil {
-			return nil, fmt.Errorf("fleet: merge: duplicate or out-of-range shard index %d", s.Index)
-		}
-		byIndex[s.Index] = s
 	}
-	merged := NewAccumulator()
-	res := &Result{}
-	for _, s := range byIndex {
-		merged.Merge(s.Acc)
-		res.Failed = append(res.Failed, s.Failed...)
-	}
-	sort.Slice(res.Failed, func(i, j int) bool { return res.Failed[i].Device < res.Failed[j].Device })
-	if merged.Devices() == 0 {
-		return nil, fmt.Errorf("fleet: all %d devices failed", ref.CohortDevices)
-	}
-	profiles := make([]Profile, len(ref.ProfileOrder))
-	for i, name := range ref.ProfileOrder {
-		profiles[i] = Profile{Name: name}
-	}
-	res.Aggregate = merged.Aggregate(profiles)
-	res.Aggregate.FailedDevices = len(res.Failed)
-	return res, nil
+	return c.Result()
 }
 
 // ParseShard parses an "index/count" shard position ("0/2", "1/2", ...).

@@ -236,11 +236,12 @@ func (c Cohort) Validate() error {
 	return nil
 }
 
-// shardRange is shard index's contiguous slice [lo, hi) of an n-device
+// ShardRange is shard index's contiguous slice [lo, hi) of an n-device
 // index space split count ways. The cut points are exact integer
 // arithmetic, so every process of a sharded campaign computes the same
-// partition.
-func shardRange(n, index, count int) (lo, hi int) {
+// partition; the service layer uses it to account resumed shards'
+// device counts without re-running them.
+func ShardRange(n, index, count int) (lo, hi int) {
 	if count <= 1 {
 		return 0, n
 	}
@@ -429,7 +430,7 @@ func (c Cohort) execute(ctx context.Context, pool Pool) (runOutcome, error) {
 	}
 	// Task j runs global device index lo+j; all bookkeeping below is in
 	// local task indices, mapped to global device indices on the way out.
-	lo, hi := shardRange(c.Devices, c.ShardIndex, c.ShardCount)
+	lo, hi := ShardRange(c.Devices, c.ShardIndex, c.ShardCount)
 	n := hi - lo
 	workers := pool.EffectiveWorkers(n)
 	// One recycled device per worker lane. A task timeout disables reuse:

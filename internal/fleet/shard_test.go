@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -66,6 +68,40 @@ func TestShardedRunMatchesSingleProcess(t *testing.T) {
 			if got.String() != want.String() {
 				t.Errorf("sharded aggregate differs from single-process run:\n--- direct ---\n%s\n--- sharded ---\n%s",
 					want.String(), got.String())
+			}
+		})
+	}
+}
+
+// TestMergeShardsRejectsInconsistentSets: a shard set that is not
+// exactly one shard per index of one campaign is refused whole — a
+// missing shard, a duplicate index, a shard of a different-size cohort,
+// and a shard whose profile order differs.
+func TestMergeShardsRejectsInconsistentSets(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		set  func(t *testing.T, s []*Shard) []*Shard
+		want string
+	}{
+		{"missing shard", func(t *testing.T, s []*Shard) []*Shard { return s[:2] }, "2 of 3 shards complete"},
+		{"duplicate index", func(t *testing.T, s []*Shard) []*Shard { return []*Shard{s[0], s[1], s[1]} }, "duplicate shard 1"},
+		{"mismatched cohort size", func(t *testing.T, s []*Shard) []*Shard {
+			return []*Shard{s[0], s[1], runTestShards(t, ckptTestCohort(15), 3)[2]}
+		}, "15-device cohort"},
+		{"differing profile order", func(t *testing.T, s []*Shard) []*Shard {
+			order := slices.Clone(s[2].ProfileOrder)
+			if len(order) < 2 {
+				t.Fatalf("profile order %v cannot be reordered", order)
+			}
+			slices.Reverse(order)
+			s[2].ProfileOrder = order
+			return s
+		}, "profile order differs"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := MergeShards(tc.set(t, runTestShards(t, ckptTestCohort(12), 3)))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("MergeShards = %v, %v; want an error containing %q", res, err, tc.want)
 			}
 		})
 	}
@@ -170,14 +206,14 @@ func TestShardRangePartition(t *testing.T) {
 			}
 			next := 0
 			for i := 0; i < count; i++ {
-				lo, hi := shardRange(n, i, count)
+				lo, hi := ShardRange(n, i, count)
 				if lo != next || hi < lo {
-					t.Fatalf("shardRange(%d, %d, %d) = [%d,%d), want lo %d", n, i, count, lo, hi, next)
+					t.Fatalf("ShardRange(%d, %d, %d) = [%d,%d), want lo %d", n, i, count, lo, hi, next)
 				}
 				next = hi
 			}
 			if next != n {
-				t.Fatalf("shardRange(%d, ·, %d) tiles to %d, want %d", n, count, next, n)
+				t.Fatalf("ShardRange(%d, ·, %d) tiles to %d, want %d", n, count, next, n)
 			}
 		}
 	}

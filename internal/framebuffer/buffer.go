@@ -180,32 +180,23 @@ func (b *Buffer) CopyFrom(src *Buffer) {
 	b.touchAll()
 }
 
-// Blit copies the srcRect portion of src to b at destination (dx, dy),
-// clipping against both buffers. It returns the number of pixels copied.
-// On a tracked buffer at a tile-aligned offset the copy runs tile
-// by tile (see blitPal), so compressed source tiles land as index planes;
-// otherwise the destination region is realized and copied as raw rows.
-func (b *Buffer) Blit(src *Buffer, srcRect Rect, dx, dy int) int {
-	srcRect = srcRect.Clamp(src.Bounds())
-	if srcRect.Empty() {
+// Blit copies the r portion of src to the same place in b, clipping
+// against both buffers, and returns the number of pixels copied. On a
+// tracked buffer the copy runs tile by tile (see blitPal), so compressed
+// source tiles land as index planes.
+func (b *Buffer) Blit(src *Buffer, r Rect) int {
+	r = r.Clamp(b.Bounds()).Clamp(src.Bounds())
+	if r.Empty() {
 		return 0
 	}
-	// Clip the destination against b and translate the clip back to source.
-	dst := Rect{dx, dy, dx + srcRect.Dx(), dy + srcRect.Dy()}.Clamp(b.Bounds())
-	if dst.Empty() {
-		return 0
-	}
-	sx := srcRect.X0 + (dst.X0 - dx)
-	sy := srcRect.Y0 + (dst.Y0 - dy)
 	b.own()
-	if b.tiles != nil && (dst.X0-sx)&tileMask == 0 && (dst.Y0-sy)&tileMask == 0 {
-		b.blitPal(src, sx, sy, dst)
+	if b.tiles != nil {
+		b.blitPal(src, r)
 	} else {
-		b.realizeRegion(dst)
-		b.copyRows(src, sx, sy, dst)
+		b.copyRows(src, r)
 	}
-	b.touch(dst)
-	return dst.Area()
+	b.touch(r)
+	return r.Area()
 }
 
 // ScrollVert shifts the content of region r vertically by dy pixels

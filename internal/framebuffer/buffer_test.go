@@ -66,22 +66,34 @@ func TestBufferCopyBlitEqual(t *testing.T) {
 		t.Error("Equal after single-pixel change")
 	}
 
-	// Blit the white square elsewhere.
+	// Blit the white square to the same place.
 	other := New(10, 10)
-	n := other.Blit(src, R(3, 3, 6, 6), 0, 0)
+	n := other.Blit(src, R(3, 3, 6, 6))
 	if n != 9 {
 		t.Errorf("Blit copied %d, want 9", n)
 	}
-	if other.At(0, 0) != White || other.At(2, 2) != White {
+	if other.At(3, 3) != White || other.At(5, 5) != White {
 		t.Error("blitted pixels wrong")
 	}
-	if other.At(3, 3) != Black {
-		t.Error("pixel outside blit destination modified")
+	if other.At(2, 2) != Black || other.At(6, 6) != Black {
+		t.Error("pixel outside the blitted rect modified")
 	}
-	// Blit clipped at destination edge.
-	n = other.Blit(src, R(0, 0, 10, 10), 7, 8)
+	// Blit clipped at the buffers' edge.
+	n = other.Blit(src, R(7, 8, 20, 20))
 	if n != 3*2 {
 		t.Errorf("clipped Blit copied %d, want 6", n)
+	}
+	if other.At(9, 9) != RGB(1, 2, 3) {
+		t.Error("clipped Blit pixels wrong")
+	}
+	// Blit clipped against a smaller source.
+	small := New(4, 2)
+	small.FillAll(White)
+	if n = other.Blit(small, R(0, 0, 10, 10)); n != 4*2 {
+		t.Errorf("Blit from a 4x2 source copied %d, want 8", n)
+	}
+	if other.At(3, 1) != White || other.At(4, 1) != Black || other.At(3, 2) != Black {
+		t.Error("Blit from a smaller source wrote outside it")
 	}
 }
 

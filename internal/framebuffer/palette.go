@@ -24,9 +24,9 @@ import (
 //     the pixel array is stale under it. When palN[i] == 0 the pixel
 //     array is authoritative, exactly as before.
 //   - Promotion back to raw is transparent: palette overflow on a
-//     partial write, or a raw kernel (a misaligned or partial-tile Blit,
-//     a scroll that cannot rebuild a tile from index planes) landing on
-//     a compressed tile, realizes the tile into the pixel array first. A
+//     partial write, or a raw kernel (a partial-tile Blit, a scroll that
+//     cannot rebuild a tile from index planes) landing on a compressed
+//     tile, realizes the tile into the pixel array first. A
 //     fill covering a whole tile resets it to a fresh one-color palette,
 //     so flat UI churns between solid palettes, not raw.
 //
@@ -220,27 +220,6 @@ func (b *Buffer) realizeTile(i int) {
 	t.palN[i] = 0
 	t.palTiles--
 	t.promotions++
-}
-
-// realizeRegion realizes every compressed tile overlapping r. Callers
-// about to write raw pixels inside r use it to make the pixel array
-// authoritative there first.
-func (b *Buffer) realizeRegion(r Rect) {
-	t := b.tiles
-	if t == nil || t.palTiles == 0 {
-		return
-	}
-	r = r.Clamp(b.Bounds())
-	if r.Empty() {
-		return
-	}
-	for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
-		for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
-			if i := ty*t.cols + tx; t.palN[i] > 0 {
-				b.realizeTile(i)
-			}
-		}
-	}
 }
 
 // realizeAll realizes every compressed tile.
@@ -565,40 +544,38 @@ func (b *Buffer) copyAllFrom(src *Buffer) {
 	}
 }
 
-// blitPal is Blit's kernel for a tracked buffer at a tile-aligned
-// offset: src's (sx, sy) lands on dst's corner, both clipped, and dst
-// minus (sx, sy) is a multiple of the tile size. Each tile that dst covers
-// whole takes copyTile; a partly covered tile is realized and takes raw
-// rows. b must be materialized.
-func (b *Buffer) blitPal(src *Buffer, sx, sy int, dst Rect) {
+// blitPal is Blit's kernel for a tracked buffer: src's rect r, clipped
+// to both buffers, lands at the same place in b. Each tile that r covers
+// whole takes copyTile; a tile r cuts is realized and takes raw rows. b
+// must be materialized.
+func (b *Buffer) blitPal(src *Buffer, r Rect) {
 	t := b.tiles
-	ox, oy := dst.X0-sx, dst.Y0-sy
-	for ty := dst.Y0 >> TileShift; ty <= (dst.Y1-1)>>TileShift; ty++ {
-		for tx := dst.X0 >> TileShift; tx <= (dst.X1-1)>>TileShift; tx++ {
+	for ty := r.Y0 >> TileShift; ty <= (r.Y1-1)>>TileShift; ty++ {
+		for tx := r.X0 >> TileShift; tx <= (r.X1-1)>>TileShift; tx++ {
 			i := ty*t.cols + tx
 			tr := Rect{tx << TileShift, ty << TileShift, (tx + 1) << TileShift, (ty + 1) << TileShift}
-			clip := tr.Intersect(dst)
+			clip := tr.Intersect(r)
 			if clip == tr {
-				b.copyTile(src, tr.X0-ox, tr.Y0-oy, i, tr)
+				b.copyTile(src, i, tr)
 				continue
 			}
 			if t.palN[i] > 0 {
 				b.realizeTile(i)
 			}
-			b.copyRows(src, clip.X0-ox, clip.Y0-oy, clip)
+			b.copyRows(src, clip)
 		}
 	}
 }
 
-// copyTile copies the whole source tile at (sx, sy) into b's whole tile i
-// (rect tr). A compressed source tile lands as its 512-byte index plane
-// and palette, 8× fewer bytes than the pixel copy; a raw one drops tile
-// i's palette without decoding it, since every pixel is overwritten, and
+// copyTile copies src's whole tile tr into b's tile i at the same place.
+// A compressed source tile lands as its 512-byte index plane and
+// palette, 8× fewer bytes than the pixel copy; a raw one drops tile i's
+// palette without decoding it, since every pixel is overwritten, and
 // takes raw rows.
-func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
+func (b *Buffer) copyTile(src *Buffer, i int, tr Rect) {
 	t := b.tiles
 	if st := src.repr().tiles; st != nil && st.palTiles > 0 {
-		if si := (sy>>TileShift)*st.cols + sx>>TileShift; st.palN[si] > 0 {
+		if si := (tr.Y0>>TileShift)*st.cols + tr.X0>>TileShift; st.palN[si] > 0 {
 			t.copyPal(i, st, si)
 			return
 		}
@@ -607,7 +584,7 @@ func (b *Buffer) copyTile(src *Buffer, sx, sy, i int, tr Rect) {
 		t.palN[i] = 0
 		t.palTiles--
 	}
-	b.copyRows(src, sx, sy, tr)
+	b.copyRows(src, tr)
 }
 
 // scrollPal is ScrollVert's kernel for tracked buffers: every

@@ -46,12 +46,12 @@ func BenchmarkPaletteBlit(b *testing.B) {
 			if bc.palette {
 				dst.EnableTiles()
 			}
-			dst.Blit(screens[0], screens[0].Bounds(), 0, 0)
+			dst.Blit(screens[0], screens[0].Bounds())
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				src := screens[(i+1)&1]
-				dst.Blit(src, src.Bounds(), 0, 0)
+				dst.Blit(src, src.Bounds())
 			}
 		})
 	}

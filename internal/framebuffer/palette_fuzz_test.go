@@ -9,14 +9,13 @@ import (
 // representation against a plain buffer: the same mutation stream —
 // fills from a narrow palette, wide-color fills that force promotion,
 // FillRects batches, full-width feed rows and vertical bands, single
-// stores, scrolls, blits from raw and from compressed sources at random
-// and tile-aligned offsets — drives a tracked buffer and a plain one in
-// lockstep, and after every operation the two must agree on every read
-// path: At, Equal and grid sampling. Snapshot/share round-trips
-// (encodeAll, NewPaletteSnapshot, ShareFromDamage) are interleaved as
-// content-preserving no-ops. Any divergence means a nibble kernel,
-// binned fill, tile copy, plane copy, promotion edge or copy-on-write
-// path changed visible bytes.
+// stores, scrolls, blits from raw and from compressed sources — drives a
+// tracked buffer and a plain one in lockstep, and after every operation
+// the two must agree on every read path: At, Equal and grid sampling.
+// Snapshot/share round-trips (encodeAll, NewPaletteSnapshot,
+// ShareFromDamage) are interleaved as content-preserving no-ops. Any
+// divergence means a nibble kernel, binned fill, tile copy, plane copy,
+// promotion edge or copy-on-write path changed visible bytes.
 func FuzzPaletteCompare(f *testing.F) {
 	f.Add(int64(1), []byte{0, 0, 2, 3, 9}, uint8(64), uint8(64))
 	f.Add(int64(2), []byte{2, 2, 2, 2, 2, 2, 9, 6}, uint8(33), uint8(47)) // wide fills: promotion pressure
@@ -120,7 +119,7 @@ func FuzzPaletteCompare(f *testing.F) {
 				if rp, rr := pb.ScrollVert(r, dy), rb.ScrollVert(r, dy); rp != rr {
 					t.Fatalf("step %d: ScrollVert repaint palette=%v plain=%v", step, rp, rr)
 				}
-			case 5: // blit raw or compressed content, half the time tile-aligned (plane copies)
+			case 5: // blit raw or compressed content: plane copies of whole tiles, raw rows of cut ones
 				src := aux
 				if rng.Intn(2) == 0 {
 					src = paux
@@ -128,12 +127,8 @@ func FuzzPaletteCompare(f *testing.F) {
 						src = snap
 					}
 				}
-				srcR := randRect().Clamp(src.Bounds())
-				dx, dy := rng.Intn(w+10)-5, rng.Intn(h+10)-5
-				if rng.Intn(2) == 0 {
-					dx, dy = srcR.X0+(rng.Intn(5)-2)*TileSize, srcR.Y0+(rng.Intn(5)-2)*TileSize
-				}
-				if np, nr := pb.Blit(src, srcR, dx, dy), rb.Blit(src, srcR, dx, dy); np != nr {
+				r := randRect()
+				if np, nr := pb.Blit(src, r), rb.Blit(src, r); np != nr {
 					t.Fatalf("step %d: Blit count palette=%d plain=%d", step, np, nr)
 				}
 			case 6: // re-encode is content-preserving

@@ -369,7 +369,7 @@ func TestPaletteSnapshotReadOnly(t *testing.T) {
 		{"FillAll", func(b *Buffer) { b.FillAll(White) }},
 		{"FillRects", func(b *Buffer) { b.FillRects([]Rect{R(0, 0, 9, 9)}, []Color{White}) }},
 		{"CopyFrom", func(b *Buffer) { b.CopyFrom(src) }},
-		{"Blit", func(b *Buffer) { b.Blit(src, src.Bounds(), 0, 0) }},
+		{"Blit", func(b *Buffer) { b.Blit(src, src.Bounds()) }},
 		{"ScrollVert", func(b *Buffer) { b.ScrollVert(b.Bounds(), 5) }},
 		{"Recycle", (*Buffer).Recycle},
 		{"ShareFrom", func(b *Buffer) { b.ShareFrom(other) }},

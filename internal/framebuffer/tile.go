@@ -249,22 +249,20 @@ func (b *Buffer) share(src *Buffer, op string) {
 // Shared reports whether b is currently a copy-on-write view.
 func (b *Buffer) Shared() bool { return b.shared != nil }
 
-// copyRows copies src rows starting at (sx, sy) into b's dst rectangle,
-// decoding compressed source tiles. The caller has already clipped both
-// sides, materialized b, and realized any compressed destination tiles
-// under dst.
-func (b *Buffer) copyRows(src *Buffer, sx, sy int, dst Rect) {
+// copyRows copies src's rect r into the same place in b, decoding
+// compressed source tiles. The caller has already clipped r to both
+// buffers, materialized b, and realized any compressed destination tiles
+// under r.
+func (b *Buffer) copyRows(src *Buffer, r Rect) {
 	rs := src.repr()
 	if rs.tiles == nil || rs.tiles.palTiles == 0 {
-		for y := 0; y < dst.Dy(); y++ {
-			srow := rs.pix[(sy+y)*rs.w+sx : (sy+y)*rs.w+sx+dst.Dx()]
-			drow := b.pix[(dst.Y0+y)*b.w+dst.X0 : (dst.Y0+y)*b.w+dst.X1]
-			copy(drow, srow)
+		for y := r.Y0; y < r.Y1; y++ {
+			copy(b.pix[y*b.w+r.X0:y*b.w+r.X1], rs.pix[y*rs.w+r.X0:y*rs.w+r.X1])
 		}
 		return
 	}
-	for y := 0; y < dst.Dy(); y++ {
-		rs.readRow(b.pix[(dst.Y0+y)*b.w+dst.X0:(dst.Y0+y)*b.w+dst.X1], sx, sy+y, dst.Dx())
+	for y := r.Y0; y < r.Y1; y++ {
+		rs.readRow(b.pix[y*b.w+r.X0:y*b.w+r.X1], r.X0, y, r.Dx())
 	}
 }
 

@@ -11,14 +11,17 @@ import (
 // redraws and damages its whole buffer every frame (the wasteful pattern
 // §2 of the paper measures), but only a small region actually changes.
 type benchClient struct {
-	frame int
+	frame  int
+	region framebuffer.Region
 }
 
-func (c *benchClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
+func (c *benchClient) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {
 	c.frame++
 	x, y := (c.frame*32)%(buf.Width()-32), (c.frame*64)%(buf.Height()-32)
 	buf.Fill(framebuffer.Rect{X0: x, Y0: y, X1: x + 32, Y1: y + 32}, framebuffer.Color(c.frame))
-	return buf.Bounds(), buf.Width() * buf.Height() // over-reported damage: contract-legal
+	c.region.Reset()
+	c.region.Add(buf.Bounds()) // over-reported damage: contract-legal
+	return &c.region, buf.Width() * buf.Height()
 }
 
 // BenchmarkTileCompose measures one V-Sync latch of a full-screen-damage
@@ -51,31 +54,32 @@ func BenchmarkTileCompose(b *testing.B) {
 }
 
 // TestComposeTiledZeroAlloc pins the steady-state allocation contract of
-// composition: after the first latch, a V-Sync — render callback, Blit
+// composition: after the first latch, a V-Sync — render callbacks, Blit
 // (or direct scanout), frame accounting — allocates nothing, on either
-// pipeline, including a tracked surface that is not full-screen and so
-// is blitted.
+// pipeline, including two tracked surfaces, whose second registration
+// demotes direct scanout, so both are blitted.
 func TestComposeTiledZeroAlloc(t *testing.T) {
 	for _, tc := range []struct {
-		name       string
-		tiles      bool
-		fullScreen bool
+		name     string
+		tiles    bool
+		surfaces int
 	}{
-		{"direct", true, true},
-		{"tiles", true, false},
-		{"naive", false, true},
+		{"direct", true, 1},
+		{"tiles", true, 2},
+		{"naive", false, 1},
 	} {
 		m := NewManager(sim.NewEngine(), 720, 1280)
 		m.SetTiles(tc.tiles)
-		frame := framebuffer.R(0, 0, 720, 1280)
-		if !tc.fullScreen {
-			frame.Y1 = 1248
+		var srfs []*Surface
+		for z := 0; z < tc.surfaces; z++ {
+			srfs = append(srfs, m.NewSurface("app", z, &benchClient{}))
 		}
-		s := m.NewSurfaceAt("app", 1, frame, &benchClient{})
 		var i sim.Time
 		latch := func() {
 			i++
-			s.RequestFrame()
+			for _, s := range srfs {
+				s.RequestFrame()
+			}
 			m.VSync(i*sim.Hz(60), 60)
 		}
 		for n := 0; n < 8; n++ { // settle scratch buffers and scanout

@@ -9,13 +9,14 @@ import (
 )
 
 // fuzzClient is a deterministic contract-honoring Client: every paint op
-// it performs is covered by the damage it reports, and a frame reported
-// as redundant (empty damage) paints nothing. Two instances built from
-// the same seed draw identical sequences, so a tile-pipeline and an
-// oracle manager given the same stimulus render identical content.
+// it performs is covered by the damage region it reports, and a frame
+// reported as redundant (empty damage) paints nothing. Two instances
+// built from the same seed draw identical sequences, so a tile-pipeline
+// and an oracle manager given the same stimulus render identical content.
 type fuzzClient struct {
-	rng *rand.Rand
-	aux *framebuffer.Buffer // blit source, never mutated
+	rng    *rand.Rand
+	aux    *framebuffer.Buffer // blit source, never mutated
+	damage framebuffer.Region
 }
 
 func newFuzzClient(seed int64, w, h int) *fuzzClient {
@@ -39,21 +40,20 @@ func (c *fuzzClient) clientRect(w, h int) framebuffer.Rect {
 	}
 }
 
-func (c *fuzzClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
+func (c *fuzzClient) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {
 	w, h := buf.Width(), buf.Height()
+	c.damage.Reset()
 	if c.rng.Intn(5) == 0 {
 		// Redundant frame: the app re-rendered identical pixels. No
 		// mutation, empty damage, but the render cost is still paid.
-		return framebuffer.Rect{}, w * h
+		return &c.damage, w * h
 	}
-	var damage framebuffer.Rect
 	for n := c.rng.Intn(3) + 1; n > 0; n-- {
 		var r framebuffer.Rect
 		switch c.rng.Intn(4) {
 		case 0:
 			r = c.clientRect(w, h)
 			buf.Fill(r, framebuffer.Color(c.rng.Uint32()&0x00ffffff))
-			r = r.Clamp(buf.Bounds())
 		case 1:
 			x, y := c.rng.Intn(w), c.rng.Intn(h)
 			buf.Set(x, y, framebuffer.Color(c.rng.Uint32()&0x00ffffff))
@@ -63,35 +63,13 @@ func (c *fuzzClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Re
 			// damage is the whole scrolled region.
 			r = c.clientRect(w, h)
 			buf.ScrollVert(r, c.rng.Intn(2*h+1)-h)
-			r = r.Clamp(buf.Bounds())
 		default:
-			sw, sh := c.aux.Width(), c.aux.Height()
-			sr := c.clientRect(sw, sh).Clamp(c.aux.Bounds())
-			dx, dy := c.rng.Intn(w+10)-5, c.rng.Intn(h+10)-5
-			buf.Blit(c.aux, sr, dx, dy)
-			r = framebuffer.Rect{X0: dx, Y0: dy, X1: dx + sr.Dx(), Y1: dy + sr.Dy()}.Clamp(buf.Bounds())
+			r = c.clientRect(w, h)
+			buf.Blit(c.aux, r)
 		}
-		if r.Empty() {
-			continue
-		}
-		if damage.Empty() {
-			damage = r
-		} else {
-			if r.X0 < damage.X0 {
-				damage.X0 = r.X0
-			}
-			if r.Y0 < damage.Y0 {
-				damage.Y0 = r.Y0
-			}
-			if r.X1 > damage.X1 {
-				damage.X1 = r.X1
-			}
-			if r.Y1 > damage.Y1 {
-				damage.Y1 = r.Y1
-			}
-		}
+		c.damage.Add(r.Clamp(buf.Bounds()))
 	}
-	return damage, w * h
+	return &c.damage, w * h
 }
 
 // FuzzTileCompose is the compositor differential fuzzer: the same
@@ -159,12 +137,10 @@ func FuzzTileCompose(f *testing.F) {
 				}
 			case 4:
 				if barT == nil {
-					// A status-bar-like surface at a deliberately
-					// tile-misaligned position; registering it demotes
-					// direct scanout mid-run.
-					fr := framebuffer.Rect{X0: 1, Y0: 1, X1: (w+1)/2 + 1, Y1: (h+1)/2 + 1}
-					barT = mgrT.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
-					barN = mgrN.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
+					// A second full-screen surface above the app;
+					// registering it demotes direct scanout mid-run.
+					barT = mgrT.NewSurface("bar", 2, newFuzzClient(session^0x5bd1e995, w, h))
+					barN = mgrN.NewSurface("bar", 2, newFuzzClient(session^0x5bd1e995, w, h))
 				}
 			case 6:
 				// Session reset: surfaces drop, pooled buffers recycle.

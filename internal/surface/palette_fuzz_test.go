@@ -3,7 +3,6 @@ package surface
 import (
 	"testing"
 
-	"ccdem/internal/framebuffer"
 	"ccdem/internal/sim"
 )
 
@@ -74,12 +73,10 @@ func FuzzPaletteCompose(f *testing.F) {
 				}
 			case 4:
 				if barP == nil {
-					// A status-bar-like surface at a deliberately
-					// tile-misaligned position; registering it demotes
-					// direct scanout mid-run.
-					fr := framebuffer.Rect{X0: 1, Y0: 1, X1: (w+1)/2 + 1, Y1: (h+1)/2 + 1}
-					barP = mgrP.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
-					barO = mgrO.NewSurfaceAt("bar", 2, fr, newFuzzClient(session^0x5bd1e995, fr.Dx(), fr.Dy()))
+					// A second full-screen surface above the app;
+					// registering it demotes direct scanout mid-run.
+					barP = mgrP.NewSurface("bar", 2, newFuzzClient(session^0x5bd1e995, w, h))
+					barO = mgrO.NewSurface("bar", 2, newFuzzClient(session^0x5bd1e995, w, h))
 				}
 			case 6:
 				tiles = !tiles

@@ -20,55 +20,35 @@ import (
 	"ccdem/internal/sim"
 )
 
-// Client renders a surface's content on demand.
-type Client interface {
-	// Render draws the surface's current content into buf and returns the
-	// damaged rectangle (empty when this frame is pixel-identical to the
-	// previous one — a redundant frame) and the number of pixels the
-	// render pass drew (the GPU cost, which for a redundant frame is
-	// typically the full redraw the app wastefully performed).
-	Render(t sim.Time, buf *framebuffer.Buffer) (damage framebuffer.Rect, renderedPx int)
-}
-
-// ClientFunc adapts a function to the Client interface.
-type ClientFunc func(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int)
-
-// Render implements Client.
-func (f ClientFunc) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
-	return f(t, buf)
-}
-
-// RegionClient is an optional refinement of Client: renderers that damage
+// Client renders a surface's content on demand. Renderers that damage
 // several disjoint areas (sprite games erase one spot and draw another)
 // report them all, so composition blits and dirty-pixel accounting track
 // the actual change instead of a bounding box. SurfaceFlinger's damage
-// regions work the same way. The returned region is owned by the client
-// and only read until the next render.
-type RegionClient interface {
-	Client
-	// RenderRegion draws the current content and returns the damage
-	// region (empty for a redundant frame) and the rendered pixel cost.
+// regions work the same way.
+type Client interface {
+	// RenderRegion draws the surface's current content into buf and
+	// returns the damage region (empty when this frame is pixel-identical
+	// to the previous one — a redundant frame) and the number of pixels
+	// the render pass drew (the GPU cost, which for a redundant frame is
+	// typically the full redraw the app wastefully performed). The region
+	// is owned by the client and only read until the next render.
 	RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int)
 }
 
-// Surface is one client's layer: a buffer positioned at a fixed frame
-// rectangle on screen. The manager composes damaged areas into the
-// framebuffer in z order. Damage rectangles are in surface-local
-// coordinates.
+// Surface is one client's full-screen layer. The manager composes
+// damaged areas into the framebuffer in z order, each at the same
+// coordinates in the surface buffer and on screen.
 type Surface struct {
 	name      string
 	z         int
-	frame     framebuffer.Rect // position on screen
 	buf       *framebuffer.Buffer
 	client    Client
-	region    RegionClient // client, if it implements RegionClient (cached assertion)
-	mgr       *Manager
 	wantFrame bool
 	everDrawn bool
 
-	// rectScratch backs the damage list for plain-Client renders and the
-	// first latch, so per-frame composition allocates nothing.
-	rectScratch []framebuffer.Rect
+	// firstRect backs the damage list of the first latch, which composes
+	// the whole surface, so per-frame composition allocates nothing.
+	firstRect [1]framebuffer.Rect
 
 	requests uint64
 	renders  uint64
@@ -114,9 +94,9 @@ type Manager struct {
 	latchGate func(t sim.Time) bool
 	deferred  uint64
 	rec       *obs.Recorder
-	pool      []*framebuffer.Buffer // detached surface buffers, reusable by dimension
+	pool      []*framebuffer.Buffer // detached surface buffers, all screen-sized
 	tiles     bool                  // the tile pipeline (see SetTiles)
-	// scanout, when non-nil, is the sole full-screen surface whose buffer
+	// scanout, when non-nil, is the sole surface whose buffer
 	// is scanned out directly in place of the composed framebuffer — the
 	// single-layer fast path real compositors call "client target
 	// bypass". Engaged at first latch under SetTiles(true); demoted (with
@@ -131,23 +111,16 @@ func NewManager(eng *sim.Engine, w, h int) *Manager {
 
 // Reset detaches every surface and hook, returning the manager to a
 // freshly constructed state. Detached surfaces become unusable; their
-// backing buffers are parked in an internal free pool that NewSurfaceAt
-// reuses for matching dimensions, so a recycled manager re-registers its
-// surfaces allocation-free.
+// backing buffers are parked in an internal free pool that NewSurface
+// reuses, so a recycled manager re-registers its surfaces
+// allocation-free.
 //
-// Neither the framebuffer nor pooled buffers have their pixels cleared.
-// That is safe for the composition pipeline itself: a re-registered
-// surface's first latch composes its full bounds, overwriting the
-// framebuffer area it covers. Clients that fully paint their buffer
-// before the first frame (every app and wallpaper in the catalog does)
-// therefore behave bit-identically to a fresh manager; a client that
-// composes pixels it never painted would see prior-session content
-// instead of zeros.
+// The framebuffer and parked buffers come back blank (Recycle), as New
+// hands them out, so a recycled manager composes exactly what a fresh
+// one would.
 func (m *Manager) Reset() {
 	for _, s := range m.surfaces {
-		s.mgr = nil
 		s.client = nil
-		s.region = nil
 		m.pool = append(m.pool, s.buf)
 	}
 	m.surfaces = m.surfaces[:0]
@@ -156,20 +129,18 @@ func (m *Manager) Reset() {
 	m.latchGate = nil
 	m.deferred = 0
 	m.rec = nil
-	// Drop direct scanout without copying back: the stale framebuffer
-	// pixels fall under the same contract as pooled buffers above (a
-	// re-registered surface's first latch composes its full bounds).
+	// Drop direct scanout without copying back: the framebuffer is
+	// recycled below.
 	m.scanout = nil
-	// Like pooled buffers, the framebuffer starts the next session with
-	// neutral palette state and counters (its pixels stay stale).
+	// Like parked buffers, the framebuffer starts the next session blank,
+	// with neutral palette state and counters.
 	m.fb.Recycle()
 }
 
 // SetTiles selects the pixel pipeline. On, the framebuffer and every
 // surface buffer track 32×32 tiles in palette-compressed form
 // (framebuffer.EnableTiles), so the meter compares only written tiles,
-// and a sole full-screen surface is scanned out directly without any
-// copy. Off — the default for directly constructed managers — is the
+// and a sole surface is scanned out directly without any copy. Off — the default for directly constructed managers — is the
 // brute-force oracle: plain buffers, every damage rectangle blitted
 // wholesale. The visible framebuffer bytes, dirty-pixel accounting and
 // FrameInfo stream are identical either way for contract-honoring
@@ -218,28 +189,30 @@ func (m *Manager) PaletteStats() (tiles int, promotions uint64) {
 	return tiles, promotions
 }
 
-// DirectScanout reports whether the framebuffer currently aliases a sole
-// full-screen surface's buffer (no composition copies at all).
+// DirectScanout reports whether the framebuffer currently aliases the
+// sole surface's buffer (no composition copies at all).
 func (m *Manager) DirectScanout() bool { return m.scanout != nil }
 
-// takeBuffer reuses a pooled buffer of exactly dx × dy pixels, or
-// allocates a fresh (zeroed) one. Pooled buffers keep their previous
-// contents — see Reset for why that is safe.
-func (m *Manager) takeBuffer(dx, dy int) *framebuffer.Buffer {
-	for i, b := range m.pool {
-		if b.Width() == dx && b.Height() == dy {
-			last := len(m.pool) - 1
-			m.pool[i] = m.pool[last]
-			m.pool[last] = nil
-			m.pool = m.pool[:last]
-			// Neutralize provenance: drop copy-on-write views and stale
-			// palette state so a session behaves (and counts) identically
-			// whether its buffers are fresh or recycled.
-			b.Recycle()
-			return b
-		}
+// takeBuffer reuses a parked buffer, or allocates a fresh (zeroed) one.
+// Every parked buffer is screen-sized, since a manager's screen never
+// changes (a device builds a new manager for a new screen). The first
+// parked buffer is taken, the last moving into its slot: buffers parked
+// by plain and by tile sessions recycle to different representations,
+// which PaletteStats shows, so the order stays fixed.
+func (m *Manager) takeBuffer() *framebuffer.Buffer {
+	last := len(m.pool) - 1
+	if last < 0 {
+		return framebuffer.New(m.fb.Width(), m.fb.Height())
 	}
-	return framebuffer.New(dx, dy)
+	b := m.pool[0]
+	m.pool[0] = m.pool[last]
+	m.pool[last] = nil
+	m.pool = m.pool[:last]
+	// Neutralize provenance: drop copy-on-write views and stale palette
+	// state so a session behaves (and counts) identically whether its
+	// buffers are fresh or recycled.
+	b.Recycle()
+	return b
 }
 
 // Framebuffer exposes the composed framebuffer — what the display hardware
@@ -280,35 +253,16 @@ func (m *Manager) SetRecorder(r *obs.Recorder) { m.rec = r }
 // NewSurface registers a full-screen surface at depth z (higher z is
 // composed later, i.e. on top).
 func (m *Manager) NewSurface(name string, z int, client Client) *Surface {
-	return m.NewSurfaceAt(name, z, m.fb.Bounds(), client)
-}
-
-// NewSurfaceAt registers a surface occupying the given screen rectangle at
-// depth z (higher z is composed later, i.e. on top). A status bar, for
-// example, is a thin high-z surface across the top of the screen.
-func (m *Manager) NewSurfaceAt(name string, z int, frame framebuffer.Rect, client Client) *Surface {
 	if client == nil {
 		panic(fmt.Sprintf("surface: nil client for %q", name))
-	}
-	frame = frame.Clamp(m.fb.Bounds())
-	if frame.Empty() {
-		panic(fmt.Sprintf("surface: %q has an empty on-screen frame", name))
 	}
 	// A second surface appears: materialize the owned framebuffer before
 	// anyone composes over a directly scanned-out buffer.
 	m.demote()
-	s := &Surface{
-		name:   name,
-		z:      z,
-		frame:  frame,
-		buf:    m.takeBuffer(frame.Dx(), frame.Dy()),
-		client: client,
-		mgr:    m,
-	}
+	s := &Surface{name: name, z: z, buf: m.takeBuffer(), client: client}
 	// A pooled buffer may carry tile state from a tile session; an oracle
 	// session must not read through it.
 	m.track(s.buf)
-	s.region, _ = client.(RegionClient)
 	// Insert in z order (stable for equal z).
 	idx := len(m.surfaces)
 	for i, other := range m.surfaces {
@@ -353,22 +307,8 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 			continue
 		}
 		s.wantFrame = false
-		var rects []framebuffer.Rect
-		var renderedPx int
-		if s.region != nil {
-			region, px := s.region.RenderRegion(t, s.buf)
-			renderedPx = px
-			if region != nil {
-				rects = region.Rects()
-			}
-		} else {
-			damage, px := s.client.Render(t, s.buf)
-			renderedPx = px
-			if !damage.Empty() {
-				s.rectScratch = append(s.rectScratch[:0], damage)
-				rects = s.rectScratch
-			}
-		}
+		region, renderedPx := s.client.RenderRegion(t, s.buf)
+		rects := region.Rects()
 		s.renders++
 		latched = true
 		if renderedPx < 0 {
@@ -376,12 +316,11 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 		}
 		if !s.everDrawn {
 			// First latch composes the whole surface.
-			s.rectScratch = append(s.rectScratch[:0], s.buf.Bounds())
-			rects = s.rectScratch
+			s.firstRect[0] = s.buf.Bounds()
+			rects = s.firstRect[:]
 			s.everDrawn = true
-			if m.tiles && m.scanout == nil &&
-				len(m.surfaces) == 1 && s.frame == m.fb.Bounds() {
-				// Sole full-screen surface: scan its buffer out directly.
+			if m.tiles && m.scanout == nil && len(m.surfaces) == 1 {
+				// Sole surface: scan its buffer out directly.
 				m.scanout = s
 			}
 		}
@@ -390,7 +329,7 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 		for _, damage := range rects {
 			damage = damage.Clamp(s.buf.Bounds())
 			if m.scanout != s {
-				m.fb.Blit(s.buf, damage, s.frame.X0+damage.X0, s.frame.Y0+damage.Y0)
+				m.fb.Blit(s.buf, damage)
 			}
 			totalDirty += damage.Area()
 		}

@@ -8,17 +8,20 @@ import (
 	"ccdem/internal/sim"
 )
 
-// countingClient renders a solid color that changes each time bump is set.
+// countingClient fills area with color on every render and damages it.
 type countingClient struct {
 	color   framebuffer.Color
 	renders int
 	area    framebuffer.Rect
+	region  framebuffer.Region
 }
 
-func (c *countingClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
+func (c *countingClient) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {
 	c.renders++
 	buf.Fill(c.area, c.color)
-	return c.area, c.area.Area()
+	c.region.Reset()
+	c.region.Add(c.area)
+	return &c.region, c.area.Area()
 }
 
 func TestRequestCoalescing(t *testing.T) {
@@ -139,11 +142,14 @@ func TestSetTilesOffAfterReset(t *testing.T) {
 }
 
 // redundantClient re-renders identical pixels: full render cost, no damage.
-type redundantClient struct{ renders int }
+type redundantClient struct {
+	renders int
+	region  framebuffer.Region
+}
 
-func (c *redundantClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
+func (c *redundantClient) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {
 	c.renders++
-	return framebuffer.Rect{}, buf.Bounds().Area()
+	return &c.region, buf.Bounds().Area()
 }
 
 func TestRedundantFramesStillLatch(t *testing.T) {
@@ -169,21 +175,34 @@ func TestRedundantFramesStillLatch(t *testing.T) {
 	}
 }
 
+// TestZOrderComposition composes two full-screen surfaces registered
+// out of z order: within a latch the higher z is composed last, so its
+// damage lands above the lower surface's, and the lower surface shows
+// wherever the higher one did not damage.
 func TestZOrderComposition(t *testing.T) {
 	eng := sim.NewEngine()
 	m := NewManager(eng, 8, 8)
 	bottom := &countingClient{color: framebuffer.RGB(1, 0, 0), area: framebuffer.R(0, 0, 8, 8)}
 	top := &countingClient{color: framebuffer.RGB(2, 0, 0), area: framebuffer.R(0, 0, 4, 4)}
+	stp := m.NewSurface("top", 10, top)
 	sb := m.NewSurface("bottom", 0, bottom)
-	stp := m.NewSurfaceAt("top", 10, framebuffer.R(0, 0, 4, 4), top)
-	sb.RequestFrame()
-	stp.RequestFrame()
-	m.VSync(0, 60)
-	if m.Framebuffer().At(1, 1) != framebuffer.RGB(2, 0, 0) {
+	latch := func(i int) {
+		sb.RequestFrame()
+		stp.RequestFrame()
+		m.VSync(sim.Time(i)*sim.Hz(60), 60)
+	}
+	latch(0)
+	// The first latch composes each surface whole, the top one last.
+	if m.Framebuffer().At(1, 1) != top.color || m.Framebuffer().At(6, 6) != framebuffer.Black {
+		t.Errorf("first latch: framebuffer holds %08x and %08x, want the top surface's %08x and %08x",
+			m.Framebuffer().At(1, 1), m.Framebuffer().At(6, 6), top.color, framebuffer.Black)
+	}
+	latch(1)
+	if m.Framebuffer().At(1, 1) != top.color {
 		t.Error("top surface not composed above bottom")
 	}
-	if m.Framebuffer().At(6, 6) != framebuffer.RGB(1, 0, 0) {
-		t.Error("bottom surface missing outside top's bounds")
+	if m.Framebuffer().At(6, 6) != bottom.color {
+		t.Error("bottom surface missing outside top's damage")
 	}
 }
 
@@ -223,27 +242,10 @@ func TestNilClientPanics(t *testing.T) {
 	m.NewSurface("bad", 0, nil)
 }
 
-func TestClientFuncAdapter(t *testing.T) {
-	called := false
-	var c Client = ClientFunc(func(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
-		called = true
-		return framebuffer.Rect{}, 0
-	})
-	c.Render(0, framebuffer.New(1, 1))
-	if !called {
-		t.Error("ClientFunc did not dispatch")
-	}
-}
-
 // regionClient damages two disjoint rects per frame.
 type regionClient struct {
 	region framebuffer.Region
 	calls  int
-}
-
-func (c *regionClient) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
-	r, px := c.RenderRegion(t, buf)
-	return r.Bounds(), px
 }
 
 func (c *regionClient) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {

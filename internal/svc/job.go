@@ -82,12 +82,10 @@ type Job struct {
 	// Fault-tolerance state: specHash pins the job's identity for
 	// checkpointing, ckpt accumulates completed shards in completion
 	// order (guarded by ckptMu, not mu — folding a shard is heavier than
-	// a progress snapshot), sinceCkpt counts completions since the last
-	// persisted checkpoint.
-	specHash  string
-	ckpt      *fleet.Checkpoint
-	ckptMu    sync.Mutex
-	sinceCkpt int
+	// a progress snapshot).
+	specHash string
+	ckpt     *fleet.Checkpoint
+	ckptMu   sync.Mutex
 
 	mu              sync.Mutex
 	state           State

@@ -41,11 +41,9 @@ type Config struct {
 	// RetryPolicy defaults: 3 attempts, 200ms..5s backoff).
 	Retry RetryPolicy
 	// Store, when non-nil, persists submitted specs and campaign
-	// checkpoints so incomplete jobs survive a daemon crash (Recover).
+	// checkpoints so incomplete jobs survive a daemon crash (Recover):
+	// the checkpoint is rewritten after every completed shard.
 	Store *Store
-	// CheckpointEvery is how many completed shards between checkpoint
-	// writes when Store is set. <=0 means 1 (every shard).
-	CheckpointEvery int
 }
 
 // defaultWatchHeartbeat keeps idle SSE connections alive through
@@ -60,7 +58,6 @@ type Manager struct {
 	runner    Runner
 	retry     RetryPolicy
 	store     *Store
-	ckptEvery int
 	sem       chan struct{}
 	metrics   *metrics
 	logger    *slog.Logger
@@ -186,16 +183,11 @@ func NewManager(cfg Config) *Manager {
 	if heartbeat <= 0 {
 		heartbeat = defaultWatchHeartbeat
 	}
-	ckptEvery := cfg.CheckpointEvery
-	if ckptEvery < 1 {
-		ckptEvery = 1
-	}
 	ctx, cancel := context.WithCancel(context.Background())
 	return &Manager{
 		runner:    cfg.Runner,
 		retry:     cfg.Retry,
 		store:     cfg.Store,
-		ckptEvery: ckptEvery,
 		sem:       make(chan struct{}, maxJobs),
 		metrics:   newMetrics(),
 		logger:    logger,
@@ -579,9 +571,9 @@ func shardDevices(s *fleet.Shard) int {
 }
 
 // foldShard merges one completed shard into the job's checkpoint and,
-// when persistence is on and the cadence says so, writes the checkpoint
-// document out. A write failure is logged but does not fail the shard:
-// the in-memory campaign is still correct, only resumability degrades.
+// when persistence is on, writes the checkpoint document out. A write
+// failure is logged but does not fail the shard: the in-memory campaign
+// is still correct, only resumability degrades.
 func (m *Manager) foldShard(job *Job, shard *fleet.Shard) error {
 	job.ckptMu.Lock()
 	defer job.ckptMu.Unlock()
@@ -591,15 +583,9 @@ func (m *Manager) foldShard(job *Job, shard *fleet.Shard) error {
 	if m.store == nil {
 		return nil
 	}
-	job.sinceCkpt++
-	if job.sinceCkpt < m.ckptEvery {
-		return nil
-	}
 	if err := m.store.WriteCheckpoint(job.id, job.ckpt); err != nil {
 		m.logger.Warn("checkpoint write failed", "job", job.id, "error", err.Error())
-		return nil
 	}
-	job.sinceCkpt = 0
 	return nil
 }
 

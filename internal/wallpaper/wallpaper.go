@@ -152,7 +152,7 @@ func (wp *Wallpaper) tick() {
 	wp.srf.RequestFrame()
 }
 
-// RenderRegion implements surface.RegionClient: each dot's erase and draw
+// RenderRegion implements surface.Client: each dot's erase and draw
 // rectangle is tracked individually — small disjoint damage is exactly
 // what makes this workload hard for the grid meter.
 func (wp *Wallpaper) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebuffer.Region, int) {
@@ -164,12 +164,6 @@ func (wp *Wallpaper) RenderRegion(t sim.Time, buf *framebuffer.Buffer) (*framebu
 	wp.drawnSeq = wp.seq
 	wp.contentFrames++
 	return &wp.damage, wp.damage.Area()
-}
-
-// Render implements surface.Client (bounding-box fallback).
-func (wp *Wallpaper) Render(t sim.Time, buf *framebuffer.Buffer) (framebuffer.Rect, int) {
-	region, cost := wp.RenderRegion(t, buf)
-	return region.Bounds(), cost
 }
 
 func (wp *Wallpaper) paint(buf *framebuffer.Buffer) {

@@ -101,7 +101,7 @@ echo "svc chaos: worker-kill campaign is byte-identical to the direct run ($retr
 state_dir="$workdir/state"
 touch "$arm"
 CCDEM_SVC_CRASH="shard=5,after=2,mode=kill,file=$arm" \
-  start_daemon "$workdir/svc-crash.log" -state-dir "$state_dir" -checkpoint-every 1
+  start_daemon "$workdir/svc-crash.log" -state-dir "$state_dir"
 id=$(submit_job 6)
 
 # Wait for the first checkpoint write, then kill -9 the daemon: no
@@ -120,7 +120,7 @@ kill -9 "$svc_pid"
 wait "$svc_pid" 2>/dev/null || true
 svc_pid=""
 
-start_daemon "$workdir/svc-resume.log" -state-dir "$state_dir" -checkpoint-every 1
+start_daemon "$workdir/svc-resume.log" -state-dir "$state_dir"
 grep -q 'job recovered' "$workdir/svc-resume.log"
 wait_done "$id" "$workdir/svc-resume.log"
 
