@@ -21,7 +21,8 @@ import (
 // entries are the intermediate-state extension, admitted for feed apps
 // only (see memoAdmit). Every entry is a palette-compressed snapshot
 // (NewPaletteSnapshot) that stores each run of alike tiles once, so a
-// cached feed screen costs ~0.06 MB instead of ~3.7 MB raw.
+// cached feed screen costs ~0.06 MB instead of ~3.7 MB raw. A feed state
+// enters on its second paint in a process (see storeStateScreen).
 //
 // Memoized buffers are written once under the lock and only ever read
 // afterwards, which makes the concurrent aliasing by fleet workers
@@ -41,11 +42,13 @@ const (
 	// entirely — no lock, no map read — so steady-state apps pay nothing.
 	stateSeqCap = 64
 	// stateScreenBudget bounds the cache globally as a safety valve only.
-	// Admission (memoAdmit) is a pure function of the key, so the set of
-	// admissible keys per screen geometry is fixed by the catalog: one
-	// install screen per app plus stateSeqCap feed states per feed app —
-	// comfortably under this budget (TestStateScreenBudgetNeverBinds pins
-	// the margin). The budget must never bind in practice: if it did,
+	// Its entries are the admissible keys painted so far, a feed state
+	// painted once included (it holds a nil screen until its second
+	// paint). Admission (memoAdmit) is a pure function of the key, so the
+	// set of admissible keys per screen geometry is fixed by the catalog:
+	// one install screen per app plus stateSeqCap feed states per feed app
+	// — comfortably under this budget (TestStateScreenBudgetNeverBinds
+	// pins the margin). The budget must never bind in practice: if it did,
 	// which keys got cached would depend on arrival order, and cache
 	// hit/miss counters would stop being deterministic across worker
 	// counts. It exists only to bound memory should the catalog grow past
@@ -59,21 +62,26 @@ const (
 
 var (
 	stateScreenMu sync.RWMutex
-	stateScreens  = make(map[stateKey]*framebuffer.Buffer)
-	// stateStripe singleflights the paint-and-store of each key: with it,
-	// the total number of memo misses for a cold cache is exactly the
-	// number of distinct admissible keys painted, no matter how many fleet
-	// workers race on the same app states. (Merged fleet metrics sum
-	// hit/miss counters across devices, so per-device attribution may
-	// shift between schedules, but the sums — what the determinism tests
-	// compare — cannot.)
+	// stateScreens maps each admissible key painted so far to its
+	// snapshot, or to nil while a feed state has been painted only once.
+	stateScreens = make(map[stateKey]*framebuffer.Buffer)
+	// stateStripe singleflights the paint-and-store of each feed state:
+	// with it, a key that d devices paint from a cold cache takes
+	// min(d, 2) misses and d − min(d, 2) hits, so the total misses are
+	// the distinct keys painted plus those painted more than once, no
+	// matter how many fleet workers race on the same app states. (Merged
+	// fleet metrics sum hit/miss counters across devices, so per-device
+	// attribution may shift between schedules, but the sums — what the
+	// determinism tests compare — cannot.)
 	stateStripe [stateStripes]sync.Mutex
 )
 
 // memoAdmit reports whether key's screen may enter the memo. The
 // predicate is a pure function of the key — never of cache occupancy or
 // arrival order — so which screens are memoizable is identical on every
-// run and at every worker count. Install screens (seq 0) always qualify,
+// run and at every worker count; when a memoizable feed state is
+// snapshotted depends only on how many times it was painted before
+// (storeStateScreen). Install screens (seq 0) always qualify,
 // as before. Intermediate states qualify only for feed apps: feeds are
 // where repainting is expensive (ScrollVert moves the whole list region
 // every content frame) and their early scroll states recur across every
@@ -113,25 +121,30 @@ func lookupStateScreen(key stateKey) *framebuffer.Buffer {
 	return memo
 }
 
-// storeStateScreen snapshots a freshly painted screen for key. Screens
-// are only stored when they palette-compress in full; a screen that does
-// not is repainted by every install. Every catalog install screen
+// storeStateScreen records a freshly painted screen for key. An install
+// screen (seq 0) is snapshotted on its first paint. A feed state is
+// snapshotted on its second: its first paint records only the key, with
+// a nil screen, so a state that a process paints once costs no snapshot.
+// Screens are only stored when they palette-compress in full; a screen
+// that does not is repainted every time. Every catalog install screen
 // compresses at every screen size (TestInstallScreensCompress), so
 // install memoization does not degrade.
 func storeStateScreen(key stateKey, buf *framebuffer.Buffer) {
 	stateScreenMu.RLock()
-	_, dup := stateScreens[key]
+	memo, seen := stateScreens[key]
 	full := len(stateScreens) >= stateScreenBudget
 	stateScreenMu.RUnlock()
-	if dup || full {
+	if memo != nil || (!seen && full) {
 		return
 	}
-	snapshot := framebuffer.NewPaletteSnapshot(buf)
-	if snapshot == nil {
-		return
+	var snapshot *framebuffer.Buffer
+	if seen || key.seq == 0 {
+		if snapshot = framebuffer.NewPaletteSnapshot(buf); snapshot == nil {
+			return
+		}
 	}
 	stateScreenMu.Lock()
-	if _, dup := stateScreens[key]; !dup && len(stateScreens) < stateScreenBudget {
+	if memo, seen := stateScreens[key]; memo == nil && (seen || len(stateScreens) < stateScreenBudget) {
 		stateScreens[key] = snapshot
 	}
 	stateScreenMu.Unlock()

@@ -4,17 +4,22 @@ import (
 	"testing"
 
 	"ccdem/internal/framebuffer"
+	"ccdem/internal/sim"
+	"ccdem/internal/surface"
 )
 
 // TestStateScreenBudgetNeverBinds pins the invariant the memo's
 // determinism rests on: admission is a pure function of the key, so per
 // screen geometry the admissible keys are exactly one install screen per
 // catalog app plus stateSeqCap feed states per feed app — and that count
-// must stay under stateScreenBudget. If the budget could bind, which
-// screens got cached would depend on arrival order, and the memo hit/miss
-// counters would stop being deterministic across fleet worker counts.
-// Growing the catalog past this margin requires raising the budget (or
-// tightening memoAdmit) in the same change.
+// must stay under stateScreenBudget. The memo holds one entry per
+// admissible key painted, a feed state painted once included (with no
+// screen until its second paint), so this count bounds its entries. If
+// the budget could bind, which keys got recorded would depend on arrival
+// order, and the memo hit/miss counters would stop being deterministic
+// across fleet worker counts. Growing the catalog past this margin
+// requires raising the budget (or tightening memoAdmit) in the same
+// change.
 func TestStateScreenBudgetNeverBinds(t *testing.T) {
 	installs, feeds := 0, 0
 	for _, p := range Catalog() {
@@ -85,4 +90,75 @@ func TestInstallScreensCompress(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestFeedStateEntersMemoOnSecondPaint pins second-paint admission. In a
+// process whose memo has never seen the app, each content state of a feed
+// app that d devices paint takes min(d, 2) misses and d − min(d, 2) hits:
+// 1/0, 2/0 and 2/1 misses/hits for 1, 2 and 3 devices. The first paint
+// records the key with no screen, the second stores the snapshot. The
+// install screen is stored by the first install and shared from the
+// second.
+func TestFeedStateEntersMemoOnSecondPaint(t *testing.T) {
+	p := Params{
+		Name: "second-paint", Cat: General, Style: StyleFeed,
+		IdleContentFPS: 10, IdleInvalidateFPS: 20,
+		TouchContentFPS: 30, TouchInvalidateFPS: 40,
+	}
+	// entries counts the app's feed-state keys without and with a screen,
+	// and returns its install screen.
+	entries := func() (recorded, stored int, install *framebuffer.Buffer) {
+		stateScreenMu.RLock()
+		defer stateScreenMu.RUnlock()
+		for k, screen := range stateScreens {
+			switch {
+			case k.name != p.Name:
+			case k.seq == 0:
+				install = screen
+			case screen == nil:
+				recorded++
+			default:
+				stored++
+			}
+		}
+		return recorded, stored, install
+	}
+	var states uint64 // feed states each device paints
+	for d := uint64(1); d <= 3; d++ {
+		eng := sim.NewEngine()
+		mgr := surface.NewManager(eng, 240, 320)
+		mgr.SetTiles(true)
+		m, err := New(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.Attach(eng, mgr)
+		if shared := m.Surface().Buffer().Shared(); shared != (d > 1) {
+			t.Errorf("install %d: install screen shared from the memo = %v", d, shared)
+		}
+		eng.Every(sim.Hz(60), sim.Hz(60), func() { mgr.VSync(eng.Now(), 60) })
+		eng.RunUntil(sim.Second)
+		hits, misses := m.MemoStats()
+		if d == 1 {
+			states = misses
+		}
+		wantHits, wantMisses := uint64(0), states
+		if d > 2 {
+			wantHits, wantMisses = states, 0
+		}
+		if hits != wantHits || misses != wantMisses {
+			t.Errorf("device %d: %d hits, %d misses; want %d, %d", d, hits, misses, wantHits, wantMisses)
+		}
+		recorded, stored, install := entries()
+		if install == nil {
+			t.Errorf("device %d: install screen not stored", d)
+		}
+		if d == 1 && (recorded != int(states) || stored != 0) || d > 1 && (recorded != 0 || stored != int(states)) {
+			t.Errorf("device %d: %d feed states recorded without a screen, %d stored, of %d painted", d, recorded, stored, states)
+		}
+	}
+	if states == 0 {
+		t.Fatal("the feed app painted no memoizable state")
+	}
+	t.Logf("%d feed states per device", states)
 }

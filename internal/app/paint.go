@@ -190,10 +190,11 @@ func (m *Model) advanceContent() {
 // exist (painted earlier by any device): the hit path records exactly
 // the damage painting would have reported and aliases the memo
 // copy-on-write instead of writing pixels. The miss path paints normally
-// and publishes the result. Both paths report identical damage and render cost, so every downstream
-// decision — dirty-pixel accounting, compose, metering — is byte-for-byte
-// the same with and without the memo (the golden and differential tests
-// hold this line). A model that does not draw (SetDraw) takes only the
+// and records the key, or publishes the screen when the key was painted
+// before (storeStateScreen). Both paths report identical damage and
+// render cost, so every downstream decision — dirty-pixel accounting,
+// compose, metering — is byte-for-byte the same with and without the
+// memo (the golden and differential tests hold this line). A model that does not draw (SetDraw) takes only the
 // hit path's damage bookkeeping: no pixels, no memo lookup or store, so
 // its unwritten buffer never enters the memo.
 func (m *Model) paint(buf *framebuffer.Buffer) {
@@ -207,10 +208,11 @@ func (m *Model) paint(buf *framebuffer.Buffer) {
 			m.memoHit(memo, buf)
 			return
 		}
-		// Singleflight the first paint of this key: re-check under the
-		// key's stripe so concurrent devices produce exactly one miss
-		// (and one snapshot) per distinct key, keeping summed hit/miss
-		// counters independent of worker scheduling.
+		// Singleflight the paints that miss: re-check under the key's
+		// stripe so concurrent devices produce exactly min(d, 2) misses
+		// (and one snapshot, on the second) for a key d devices paint,
+		// keeping summed hit/miss counters independent of worker
+		// scheduling.
 		lock := stripeFor(key)
 		lock.Lock()
 		if memo := lookupStateScreen(key); memo != nil {

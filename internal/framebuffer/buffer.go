@@ -106,6 +106,7 @@ func (b *Buffer) Set(x, y int, c Color) {
 				sh := uint(np&1) * 4
 				plane := t.tilePlane(ti)
 				plane[np>>1] = plane[np>>1]&^(0xF<<sh) | byte(idx)<<sh
+				t.rebuilt(ti)
 				return
 			}
 			b.realizeTile(ti)

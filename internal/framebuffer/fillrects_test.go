@@ -216,7 +216,8 @@ func checkPalState(t *testing.T, step int, a *Buffer) {
 // tile row, rect sets that change between rows, rects reaching only one
 // of two rows, empty and inverted rects), so a copy that the copy rules
 // must refuse shows. Every batch must also store every tile as the batch
-// taken one tile row at a time does (fillByRows, checkSameRepr).
+// taken one tile row at a time does (fillByRows, checkSameRepr), and
+// leave all three buffers' build stamps honest (checkStamps).
 func TestFillRectsMatchesFill(t *testing.T) {
 	seeds := 400
 	if testing.Short() {
@@ -281,6 +282,7 @@ func TestFillRectsMatchesFill(t *testing.T) {
 			f.check(t, step)
 			fillByRows(rows, rects, colors)
 			checkSameRepr(t, step, f.rects, rows)
+			checkStamps(t, step, f.rects, f.fill, rows)
 		}
 	}
 	// Batches that draw a covered tile almost like the tile rebuilt just
@@ -351,6 +353,7 @@ func TestFillRectsMatchesFill(t *testing.T) {
 				f.check(t, 0)
 				fillByRows(rows, tc.rects, tc.colors)
 				checkSameRepr(t, 0, f.rects, rows)
+				checkStamps(t, 0, f.rects, f.fill, rows)
 			})
 		}
 	}

@@ -109,11 +109,26 @@ func (t *tileSet) tilePlane(i int) []byte {
 // alike reports whether compressed tiles a and b are stored alike: the
 // same palette size, palette entries in use and index plane. Tiles of one
 // size stored alike show the same content, so NewPaletteSnapshot gives
-// them the same bytes without re-indexing the second.
+// them the same bytes without re-indexing the second. Equal build stamps
+// (in a snapshot, a shared slot) prove it without comparing the bytes: a
+// writer gives a tile a stamp another tile holds only together with that
+// tile's bytes, and a fresh stamp otherwise.
 func (t *tileSet) alike(a, b int) bool {
 	n := t.palN[a]
-	return n > 0 && n == t.palN[b] && slices.Equal(t.tilePal(a)[:n], t.tilePal(b)[:n]) &&
-		bytes.Equal(t.tilePlane(a), t.tilePlane(b))
+	if n == 0 || n != t.palN[b] {
+		return false
+	}
+	if t.slot != nil && t.slot[a] == t.slot[b] || t.slot == nil && t.stamp[a] == t.stamp[b] {
+		return true
+	}
+	return slices.Equal(t.tilePal(a)[:n], t.tilePal(b)[:n]) && bytes.Equal(t.tilePlane(a), t.tilePlane(b))
+}
+
+// rebuilt gives tile i a fresh build stamp, after a kernel wrote its
+// stored bytes other than by copying another tile of the set.
+func (t *tileSet) rebuilt(i int) {
+	t.builds++
+	t.stamp[i] = t.builds
 }
 
 // palIndex returns tile i's palette index for c, appending c when the
@@ -309,11 +324,13 @@ func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
 			clear(t.tilePlane(i))
 		}
 		t.tilePal(i)[0] = c
+		t.rebuilt(i)
 		return
 	}
 	if t.palN[i] > 0 {
 		if idx := t.palIndex(i, c); idx >= 0 {
 			fillNibs(t.tilePlane(i), clip, byte(idx))
+			t.rebuilt(i)
 			return
 		}
 		b.realizeTile(i)
@@ -332,10 +349,10 @@ func (b *Buffer) fillTile(i int, tr, clip Rect, c Color) {
 // fillTile. A row repeats the row above when both are full height and
 // every rect reaching either spans both: each of its tiles is then drawn
 // exactly like the tile above, so a tile whose tile above was resolved
-// as fully covered takes a copy of it, and the rest replay. At least one
-// rect must be non-empty once clamped, and b must be materialized. The
-// scratch lives on the tile set and is reused, so a steady stream of
-// batches does not allocate.
+// as fully covered takes a copy of it, build stamp included, and the rest
+// replay. At least one rect must be non-empty once clamped, and b must be
+// materialized. The scratch lives on the tile set and is reused, so a
+// steady stream of batches does not allocate.
 func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 	t := b.tiles
 	bounds := b.Bounds()
@@ -379,6 +396,7 @@ func (b *Buffer) fillBinned(rects []Rect, colors []Color) {
 			if repeat && t.covered[tx] {
 				if up := i - t.cols; t.palN[up] == 1 {
 					b.fillTile(i, tr, tr, t.tilePal(up)[0])
+					t.stamp[i] = t.stamp[up]
 				} else {
 					t.copyPal(i, t, up)
 				}
@@ -440,7 +458,7 @@ func sameDraw(rects []Rect, colors []Color, ks []int32, tr Rect, lastKs []int32,
 }
 
 // copyPal makes tile i a copy of st's compressed tile si: its palette
-// size, index plane and palette.
+// size, index plane and palette, and its build stamp when st is t.
 func (t *tileSet) copyPal(i int, st *tileSet, si int) {
 	if t.palN[i] == 0 {
 		t.palTiles++
@@ -449,6 +467,11 @@ func (t *tileSet) copyPal(i int, st *tileSet, si int) {
 	t.palN[i] = n
 	copy(t.tilePlane(i), st.tilePlane(si))
 	copy(t.tilePal(i), st.tilePal(si)[:n])
+	if st == t {
+		t.stamp[i] = t.stamp[si]
+	} else {
+		t.rebuilt(i)
+	}
 }
 
 // fillCovered resolves tile i (rect tr) under the rects ks of a batch,
@@ -496,6 +519,7 @@ func (b *Buffer) fillCovered(i int, tr Rect, rects []Rect, colors []Color, ks []
 	}
 	t.palN[i] = uint8(p.n)
 	copy(t.tilePal(i), pal[:p.n])
+	t.rebuilt(i)
 	const rowBytes = TileSize / 2
 	plane := t.tilePlane(i)
 	for y := 0; y < tr.Dy(); y = int(ends[y]) {
@@ -515,8 +539,9 @@ func (b *Buffer) fillCovered(i int, tr Rect, rects []Rect, colors []Color, ks []
 
 // copyAllFrom copies src's full content into b, staying in the palette
 // domain tile by tile when both sides are tracked (a snapshot source's
-// tiles share slots). b must be materialized and match src's dimensions;
-// src is read through its representation.
+// tiles share slots, and b's copies of them share build stamps). b must be
+// materialized and match src's dimensions; src is read through its
+// representation.
 func (b *Buffer) copyAllFrom(src *Buffer) {
 	rs := src.repr()
 	st, bt := rs.tiles, b.tiles
@@ -532,7 +557,9 @@ func (b *Buffer) copyAllFrom(src *Buffer) {
 		for i := range bt.palN {
 			copy(bt.tilePlane(i), st.tilePlane(i))
 			copy(bt.tilePal(i), st.tilePal(i))
+			bt.stamp[i] = bt.builds + 1 + uint64(st.slotOf(i))
 		}
+		bt.builds += uint64(len(bt.palN))
 		bt.palTiles = st.palTiles
 		if rs.pix != nil {
 			copy(b.pix, rs.pix)
@@ -694,6 +721,7 @@ func (b *Buffer) scrollTile(i int, tr, mv Rect, dy int) bool {
 	t.palN[i] = uint8(p.n)
 	copy(ownPal, pal[:p.n])
 	copy(own, rows[:])
+	t.rebuilt(i)
 	return true
 }
 
@@ -713,7 +741,8 @@ func (b *Buffer) scrollTile(i int, tr, mv Rect, dy int) bool {
 // representation contract. The representation differs from a fresh
 // buffer's all-raw zeros, but the content is identical, and the first
 // full paint of the next session rebuilds the representation from
-// content alone, so nothing downstream can tell the difference.
+// content alone, so nothing downstream can tell the difference. The
+// tiles, stored alike, share one build stamp.
 func (b *Buffer) Recycle() {
 	b.writable()
 	if b.shared != nil {
@@ -725,12 +754,14 @@ func (b *Buffer) Recycle() {
 		clear(b.pix)
 		return
 	}
+	t.builds++
 	for i := range t.palN {
 		if t.palN[i] != 1 {
 			clear(t.tilePlane(i))
 			t.palN[i] = 1
 		}
 		t.tilePal(i)[0] = 0
+		t.stamp[i] = t.builds
 	}
 	t.palTiles = t.cols * t.rows
 	t.promotions = 0

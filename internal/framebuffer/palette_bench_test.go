@@ -78,18 +78,34 @@ var snapSink *Buffer
 // NewPaletteSnapshot of a 720×1280 feed screen. The raw row snapshots
 // scrolledFeed's screen, whose list tiles are raw, and the palette row the
 // same screen after encodeAll, so every source tile is re-indexed instead
-// of encoded: the shape of a device's feed screen, whose tiles start
-// compressed and stay so as the list scrolls.
+// of encoded, each tile its own build. The scrolled row snapshots the
+// shape of a device's feed screen, whose tiles start compressed and stay
+// so as the list scrolls: a recycled palette screen after feedPaint and
+// one feed step (feedStep), whose list tiles ScrollVert copied from their
+// left neighbours, so that their shared build stamps prove them alike
+// without comparing planes.
 func BenchmarkPaletteSnapshot(b *testing.B) {
 	for _, bc := range []struct {
-		name   string
-		encode bool
-	}{{"raw", false}, {"palette", true}} {
-		b.Run(bc.name, func(b *testing.B) {
+		name string
+		src  func() *Buffer
+	}{
+		{"raw", scrolledFeed},
+		{"palette", func() *Buffer {
 			buf := scrolledFeed()
-			if bc.encode {
-				encodeAll(buf)
-			}
+			encodeAll(buf)
+			return buf
+		}},
+		{"scrolled", func() *Buffer {
+			buf := New(720, 1280)
+			buf.EnableTiles()
+			buf.Recycle()
+			feedPaint(buf)
+			feedStep(buf, 1, nil, nil)
+			return buf
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			buf := bc.src()
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

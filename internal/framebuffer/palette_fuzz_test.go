@@ -11,7 +11,8 @@ import (
 // FillRects batches, full-width feed rows and vertical bands, single
 // stores, scrolls, blits from raw and from compressed sources — drives a
 // tracked buffer and a plain one in lockstep, and after every operation
-// the two must agree on every read path: At, Equal and grid sampling.
+// the two must agree on every read path: At, Equal and grid sampling,
+// and the tracked buffer's build stamps must stay honest (checkStamps).
 // Snapshot/share round-trips (encodeAll, NewPaletteSnapshot,
 // ShareFromDamage) are interleaved as content-preserving no-ops. Any
 // divergence means a nibble kernel, binned fill, tile copy, plane copy,
@@ -70,6 +71,7 @@ func FuzzPaletteCompare(f *testing.F) {
 		sr := make([]Color, grid.Samples())
 		check := func(step int) {
 			t.Helper()
+			checkStamps(t, step, pb)
 			if !pb.Equal(rb) || !rb.Equal(pb) {
 				t.Fatalf("step %d (%dx%d): Equal reports divergence (palTiles=%d promos=%d)",
 					step, w, h, pb.PaletteTiles(), pb.PalettePromotions())

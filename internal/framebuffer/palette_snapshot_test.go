@@ -133,7 +133,8 @@ func referenceSlots(ref *Buffer) ([]int32, int) {
 // tiles past PaletteCap (nil snapshots), single stores, scrolls,
 // encodeAll, Recycle, ShareFrom/ShareFromDamage onto earlier snapshots —
 // copy-on-write views of compacted sources with no pixel array — and
-// full-width feed rows, whose tiles share slots.
+// full-width feed rows, whose tiles share slots. Each step must also
+// leave the buffer's build stamps honest (stampDiff).
 func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, tracked bool) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -195,6 +196,9 @@ func checkSnapshotStream(t *testing.T, seed int64, ops []byte, w, h int, tracked
 			}
 			rects, colors = feedRows(w, h, y0, rng.Intn(len(narrow)), narrow[:], rects[:0], colors[:0])
 			buf.FillRects(rects, colors)
+		}
+		if d := stampDiff(buf); d != "" {
+			t.Fatalf("seed %d %dx%d tracked=%v step %d (op %d): %s", seed, w, h, tracked, step, op%9, d)
 		}
 		got, want := NewPaletteSnapshot(buf), referencePaletteSnapshot(buf)
 		if d := snapshotDiff(got, want); d != "" {
@@ -511,6 +515,7 @@ func encodeAll(b *Buffer) {
 		if p.encodeRows(plane, b.pix, b.w, b.TileRect(i)) {
 			t.palN[i] = uint8(p.n)
 			t.palTiles++
+			t.rebuilt(i)
 		}
 	}
 }

@@ -130,15 +130,6 @@ func (g *Region) Empty() bool { return len(g.rects) == 0 }
 // and invalidated by the next Add or Reset.
 func (g *Region) Rects() []Rect { return g.rects }
 
-// Bounds returns the union bounding box of the region.
-func (g *Region) Bounds() Rect {
-	var b Rect
-	for _, r := range g.rects {
-		b = b.Union(r)
-	}
-	return b
-}
-
 // Area returns the total pixel count of the region's rectangles. Because
 // Add merges overlapping rectangles, members are disjoint and the sum is
 // exact.

@@ -32,7 +32,7 @@ func stripeBatch(rng *rand.Rand, w, h, k int, rects []Rect, colors []Color) ([]R
 // (checkPalState), and store every tile as a tracked twin that scrolls
 // one tile column at a time does (scrollByColumns, checkSameRepr), so a
 // tile copied from its left neighbour is stored as its rebuild would
-// be. Regions are the feed
+// be; both keep honest build stamps (checkStamps). Regions are the feed
 // region under a header, the whole screen, and rects with tile-misaligned
 // X edges that may hang off screen; dy ranges over ±[1, 2·Dy] of the
 // clamped region, so about half the scrolls move rows. Before each scroll
@@ -113,6 +113,7 @@ func TestPaletteScrollMatchesRaw(t *testing.T) {
 			checkScrollGens(t, step, pb, r, dy, gen, gens)
 			checkPalState(t, step, pb)
 			checkSameRepr(t, step, pb, cb)
+			checkStamps(t, step, pb, cb)
 		}
 	}
 }

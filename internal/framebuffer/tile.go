@@ -34,6 +34,15 @@ type tileSet struct {
 	// moment the buffer's generation was G.
 	gen  uint64
 	tgen []uint64
+	// stamp names the build of each tile's stored bytes (palN, pal[:palN],
+	// plane): two compressed tiles with equal stamps are stored alike, so
+	// alike needs no byte compare for them. A kernel that builds a tile's
+	// bytes gives it a fresh stamp from builds; one that copies a tile of
+	// the same set gives it the source's stamp. stamp shares tgen's
+	// allocation; it is nil in a snapshot, whose shared slots serve as
+	// stamps.
+	stamp  []uint64
+	builds uint64
 
 	// Palette compression state (see palette.go): while palN[i] > 0 tile
 	// i's content is defined by its slot of pal and plane and the pixel
@@ -72,8 +81,9 @@ func (b *Buffer) EnableTiles() {
 	}
 	cols, rows := tilesFor(b.w), tilesFor(b.h)
 	n := cols * rows
+	tg := make([]uint64, 2*n)
 	t := &tileSet{
-		cols: cols, rows: rows, gen: 1, tgen: make([]uint64, n),
+		cols: cols, rows: rows, gen: 1, tgen: tg[:n:n], stamp: tg[n:],
 		palN: make([]uint8, n), plane: make([]byte, n*planeTileBytes), pal: make([]Color, n*PaletteCap),
 	}
 	for i := range t.tgen {

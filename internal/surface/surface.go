@@ -299,9 +299,10 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 		m.rec.VSyncMissed(t)
 		return
 	}
+	// Nothing since the scan cleared a request (the gate only paces), so
+	// this V-Sync latches a frame.
 	totalDirty := 0
 	totalRendered := 0
-	latched := false
 	for _, s := range m.surfaces {
 		if !s.wantFrame {
 			continue
@@ -310,7 +311,6 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 		region, renderedPx := s.client.RenderRegion(t, s.buf)
 		rects := region.Rects()
 		s.renders++
-		latched = true
 		if renderedPx < 0 {
 			panic(fmt.Sprintf("surface: %q returned negative render cost", s.name))
 		}
@@ -334,9 +334,6 @@ func (m *Manager) VSync(t sim.Time, _ int) {
 			totalDirty += damage.Area()
 		}
 		totalRendered += renderedPx
-	}
-	if !latched {
-		return
 	}
 	m.frames++
 	m.rec.FrameSubmitted(t, totalDirty, totalRendered)
